@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--order", type=int, required=True)
     e.add_argument("--count-only", action="store_true")
     e.add_argument("--out", help="directory for one document per class")
-    e.add_argument("--jobs", type=int, default=1)
+    e.add_argument("--jobs", type=_positive_int, default=1)
     e.add_argument("--progress", type=int, default=0, metavar="N",
                    help="report progress to stderr every N candidates")
     e.add_argument("--budget", type=float, default=3600.0, metavar="SECONDS")
@@ -83,6 +83,16 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_show)
 
     return p
+
+
+def _positive_int(arg):
+    try:
+        value = int(arg)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {arg!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _parse_field(arg):
@@ -170,7 +180,7 @@ def cmd_verify(args) -> int:
 
 def cmd_enumerate(args) -> int:
     options = SearchOptions(jobs=args.jobs, progress_interval=args.progress,
-                            budget_seconds=args.budget, count_only=args.count_only)
+                            budget_seconds=args.budget)
     classes = enumerate_hyperfields(args.order, options)
     print(len(classes))
     if args.out:

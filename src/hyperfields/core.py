@@ -15,6 +15,9 @@ concrete witness for every failure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain
+from operator import or_
 from typing import Iterable, Iterator, Optional
 
 from .errors import AxiomViolationError, DomainError, PreconditionError, StructuralError
@@ -143,11 +146,16 @@ def hyper_sum_sets(c: HyperfieldCandidate, a_set: ElementSet, b_set: ElementSet)
     return ElementSet(c.n, out)
 
 
+def _zero_partners(row) -> list[int]:
+    """Every y with 0 in x (+) y, given the row of x: its candidate opposites."""
+    return [y for y, m in enumerate(row) if m & 1]
+
+
 def opposite(c: HyperfieldCandidate, a: int) -> int:
     """The unique x' with 0 in a (+) x'."""
     if not 0 <= a < c.n:
         raise StructuralError("element index out of range")
-    found = tuple(b for b in range(c.n) if c.hyperadd[a][b] & 1)
+    found = tuple(_zero_partners(c.hyperadd[a]))
     if len(found) != 1:
         raise AxiomViolationError(
             f"element {a} has {len(found)} opposites", candidates=found)
@@ -160,40 +168,49 @@ def opposite(c: HyperfieldCandidate, a: int) -> int:
 # is the lexicographically first violating tuple.  verify() runs every
 # check regardless of earlier failures (full report, not fail-fast); the
 # enumeration kernel reuses the two checks its expansion cannot guarantee.
+#
+# CH1 and KR3 are the O(n^3) costs.  They scan a whole row over z at a time:
+# for fixed x and y each side becomes a sequence over z, built by C-level
+# map() and compared with one ==; only a mismatching pair of rows is walked
+# to find its first z.  A table has few distinct masks, and the image of a
+# mask under "x (+) -", "x . -" or "- . x" is the union of the images of its
+# members, so for each x every mask's image is computed once into a dict
+# that is dropped before the next x.  For CH1, the row (x (+) y) (+) z over
+# z depends only on the mask x (+) y, so it is built once per distinct mask
+# as the OR of the rows of its members.  Cells must be nonempty, which
+# validate_candidate() and the enumeration kernel's expansion guarantee.
 
 
-def _opposites(n, hyperadd):
-    opp = []
-    for x in range(n):
-        found = [y for y in range(n) if hyperadd[x][y] & 1]
-        opp.append(found[0] if len(found) == 1 else None)
-    return opp
+def _members(hyperadd):
+    """Each distinct mask of the table -> its member indices."""
+    return {m: tuple(iter_bits(m)) for m in set(chain.from_iterable(hyperadd))}
+
+
+def _images(members, parts):
+    """Each mask of the table -> the OR of parts[w] over its members w."""
+    get = parts.__getitem__
+    return {m: reduce(or_, map(get, bits)) for m, bits in members.items()}
+
+
+def _or_rows(a, b):
+    return tuple(map(or_, a, b))
 
 
 def ch1_violation(n, hyperadd, mul):
-    row_cache: dict = {}
-    col_cache: dict = {}
+    members = _members(hyperadd)
+    sums = {}  # mask m -> the row m (+) z over z
     for x in range(n):
         hx = hyperadd[x]
+        left = _images(members, hx).__getitem__  # mask m -> x (+) m
         for y in range(n):
-            hxy = hx[y]
-            for z in range(n):
-                key = (x, hyperadd[y][z])
-                left = row_cache.get(key)
-                if left is None:
-                    left = 0
-                    for w in iter_bits(key[1]):
-                        left |= hx[w]
-                    row_cache[key] = left
-                key = (hxy, z)
-                right = col_cache.get(key)
-                if right is None:
-                    right = 0
-                    for w in iter_bits(hxy):
-                        right |= hyperadd[w][z]
-                    col_cache[key] = right
-                if left != right:
-                    return (x, y, z), "regrouped sums differ"
+            row = tuple(map(left, hyperadd[y]))
+            m = hx[y]
+            other = sums.get(m)
+            if other is None:  # tuple(): the kernel's rows are lists
+                other = sums[m] = tuple(reduce(_or_rows, map(hyperadd.__getitem__, members[m])))
+            if row != other:
+                z = next(z for z in range(n) if row[z] != other[z])
+                return (x, y, z), "regrouped sums differ"
     return None
 
 
@@ -214,7 +231,7 @@ def ch3_violation(n, hyperadd, mul):
 
 def ch4_violation(n, hyperadd, mul):
     for x in range(n):
-        found = [y for y in range(n) if hyperadd[x][y] & 1]
+        found = _zero_partners(hyperadd[x])
         if not found:
             return (x,), "no opposite"
         if len(found) > 1:
@@ -223,7 +240,7 @@ def ch4_violation(n, hyperadd, mul):
 
 
 def ch5_violation(n, hyperadd, mul):
-    opp = _opposites(n, hyperadd)
+    opp = [p[0] if len(p) == 1 else None for p in map(_zero_partners, hyperadd)]
     for x in range(n):
         xo = opp[x]
         for y in range(n):
@@ -257,25 +274,24 @@ def kr2_violation(n, hyperadd, mul):
 
 
 def kr3_violation(n, hyperadd, mul):
-    scale = {}
+    members = _members(hyperadd)
     for x in range(n):
         mx = mul[x]
+        col = [row[x] for row in mul]
+        scale_left = _images(members, [1 << v for v in mx]).__getitem__  # mask m -> x . m
+        scale_right = _images(members, [1 << v for v in col]).__getitem__  # mask m -> m . x
         for y in range(n):
-            for z in range(n):
-                key = (x, hyperadd[y][z])
-                img = scale.get(key)
-                if img is None:
-                    img = 0
-                    for w in iter_bits(key[1]):
-                        img |= 1 << mx[w]
-                    scale[key] = img
-                if img != hyperadd[mx[y]][mx[z]]:
-                    return (x, y, z), "left distributivity fails"
-                right = 0
-                for w in iter_bits(hyperadd[y][z]):
-                    right |= 1 << mul[w][x]
-                if right != hyperadd[mul[y][x]][mul[z][x]]:
-                    return (x, y, z), "right distributivity fails"
+            hy = hyperadd[y]
+            left = list(map(scale_left, hy))
+            left_want = list(map(hyperadd[mx[y]].__getitem__, mx))
+            right = list(map(scale_right, hy))
+            right_want = list(map(hyperadd[col[y]].__getitem__, col))
+            if left != left_want or right != right_want:
+                for z in range(n):
+                    if left[z] != left_want[z]:
+                        return (x, y, z), "left distributivity fails"
+                    if right[z] != right_want[z]:
+                        return (x, y, z), "right distributivity fails"
     return None
 
 

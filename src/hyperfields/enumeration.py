@@ -55,7 +55,6 @@ class SearchOptions:
     jobs: int = 1
     progress_interval: int = 0
     budget_seconds: Optional[float] = None
-    count_only: bool = False
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from hyperfields import candidate_from_document, parse_document, relabel, render_document, to_document, verify
 from hyperfields.cli import main
 from conftest import five_element_candidate
@@ -149,6 +151,17 @@ class TestEnumerate:
         assert code == 3
         assert out == ""  # never a wrong count
         assert "budget exceeded" in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_a_usage_error(self, capsys, monkeypatch, jobs):
+        def no_search(*args, **kwargs):
+            raise AssertionError("argument parsing must reject --jobs first")
+
+        monkeypatch.setattr("hyperfields.cli.enumerate_hyperfields", no_search)
+        code, out, err = run_cli(capsys, "enumerate", "--order", "3", "--jobs", jobs)
+        assert code == 2 and out == ""
+        assert err.startswith("usage:")
+        assert f"argument --jobs: must be at least 1, got {jobs}" in err
 
     def test_unsupported_order(self, capsys):
         assert run_cli(capsys, "enumerate", "--order", "7")[0] == 3

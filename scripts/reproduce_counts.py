@@ -9,7 +9,7 @@ Expected table: 2 -> 2, 3 -> 5, 4 -> 7, 5 -> 27, 6 -> 16.
 import argparse
 import time
 
-from hyperfields import BudgetExceededError, SearchOptions, enumerate_hyperfields
+from hyperfields import BudgetExceededError, DomainError, SearchOptions, enumerate_hyperfields
 
 
 def main():
@@ -29,6 +29,8 @@ def main():
         except BudgetExceededError as exc:
             print(f"{n:>5}  budget exceeded after {exc.scanned} candidates")
             break
+        except DomainError as exc:
+            ap.error(str(exc))
         print(f"{n:>5}  {len(classes):>7}  {time.perf_counter() - t0:>7.2f}")
 
 

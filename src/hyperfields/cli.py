@@ -64,8 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("enumerate",
                        help="count/emit all hyperfields of an order up to isomorphism")
     e.add_argument("--order", type=int, required=True)
-    e.add_argument("--count-only", action="store_true")
-    e.add_argument("--out", help="directory for one document per class")
+    emit = e.add_mutually_exclusive_group()
+    emit.add_argument("--count-only", action="store_true", help="print the count alone")
+    emit.add_argument("--out", help="directory for one document per class")
     e.add_argument("--jobs", type=_positive_int, default=1)
     e.add_argument("--progress", type=int, default=0, metavar="N",
                    help="report progress to stderr every N candidates")
@@ -200,15 +201,13 @@ def cmd_enumerate(args) -> int:
 def cmd_iso(args) -> int:
     loaded = []
     for path in (args.path_a, args.path_b):
-        doc = parse_document(Path(path).read_text(encoding="utf-8"))
-        c = candidate_from_document(doc)
-        report = verify(c)
-        if not report.ok:
-            first = report.failures()[0]
+        try:
+            loaded.append(_load_verified(path))
+        except AxiomViolationError as exc:
+            first = exc.report.failures()[0]
             print(f"input {path} fails verification: {first.axiom} "
                   f"witness={first.witness}")
             return 1
-        loaded.append(verified(c))
     witness = are_isomorphic(*loaded)
     if witness is None:
         print("not isomorphic")

@@ -23,6 +23,7 @@ from .core import (
     HyperfieldCandidate,
     iter_bits,
     require_verified,
+    span,
     verified,
 )
 from .errors import AxiomViolationError, CapacityError, ConstructionError, DomainError
@@ -74,16 +75,7 @@ def subgroup_closure(f: FieldTable, gens) -> SubgroupSpec:
             raise DomainError("0 cannot generate a multiplicative subgroup")
         if not 0 < g < f.q:
             raise DomainError(f"generator {g} out of range")
-    closure = {1, *gens}
-    frontier = list(closure)
-    while frontier:
-        a = frontier.pop()
-        for b in tuple(closure):
-            for prod in (f.mul[a][b], f.mul[b][a]):
-                if prod not in closure:
-                    closure.add(prod)
-                    frontier.append(prod)
-    return SubgroupSpec(f, gens, frozenset(closure))
+    return SubgroupSpec(f, gens, frozenset(span(f.mul, gens)))
 
 
 def quotient(f: FieldTable, g: SubgroupSpec) -> Hyperfield:

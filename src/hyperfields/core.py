@@ -162,6 +162,104 @@ def opposite(c: HyperfieldCandidate, a: int) -> int:
     return found[0]
 
 
+# --- the multiplicative group ------------------------------------------
+#
+# Inverses, element orders, spans and isomorphisms of the nonzero part of a
+# mul table.  All but inverses() need that part to be a group with identity 1.
+
+
+def inverses(n, mul) -> list[int]:
+    """inv[x] is the y in 1..n-1 with x.y = 1; inv[0], and inv[x] when x has
+    no inverse, is 0."""
+    inv = [0] * n
+    for x in range(1, n):
+        inv[x] = next((y for y in range(1, n) if mul[x][y] == 1), 0)
+    return inv
+
+
+def element_orders(n, mul) -> list[int]:
+    """orders[x] is the multiplicative order of x; orders[0] is 0."""
+    orders = [0] * n
+    for x in range(1, n):
+        y, k = x, 1
+        while y != 1:
+            y = mul[y][x]
+            k += 1
+        orders[x] = k
+    return orders
+
+
+def span(mul, gens) -> list[int]:
+    """The subgroup generated by gens, in breadth-first order from 1 along
+    right multiplication by each generator.  In a finite group, products of
+    the generators already include their inverses."""
+    found = [1]
+    seen = {1}
+    for a in found:  # found grows while it is walked
+        row = mul[a]
+        for g in gens:
+            b = row[g]
+            if b not in seen:
+                seen.add(b)
+                found.append(b)
+    return found
+
+
+def group_isomorphisms(n, mul1, mul2) -> Iterator[tuple[int, ...]]:
+    """Every isomorphism of the nonzero groups of mul1 and mul2, each as a
+    permutation of 0..n-1 that fixes 0.
+
+    Greedy generators of the first group take images of equal order by
+    backtracking.  Each partial choice is extended from 1 along generator
+    edges, a -> a.g mapping to phi(a) -> phi(a).phi(g), and dropped on the
+    first contradiction or repeated image; a full choice that survives is a
+    homomorphism on a generating set, injective, hence an isomorphism.
+    """
+    ord1, ord2 = element_orders(n, mul1), element_orders(n, mul2)
+    if sorted(ord1) != sorted(ord2):
+        return
+    by_order: dict[int, list[int]] = {}
+    for x in range(1, n):
+        by_order.setdefault(ord2[x], []).append(x)
+    gens: list[int] = []
+    reached = {1}
+    for x in range(2, n):
+        if x not in reached:
+            gens.append(x)
+            reached = set(span(mul1, gens))
+
+    def along_edges(images):
+        # phi on the span of gens[:len(images)], or None on a clash.
+        phi = [0] * n
+        phi[1] = 1
+        used = {1}
+        edges = list(zip(gens, images))
+        walk = [1]
+        for a in walk:  # walk grows while it is walked
+            row1, row2 = mul1[a], mul2[phi[a]]
+            for g, u in edges:
+                b, img = row1[g], row2[u]
+                if phi[b] != img:
+                    if phi[b] or img in used:  # a contradiction or a repeated image
+                        return None
+                    phi[b] = img
+                    used.add(img)
+                    walk.append(b)
+        return phi
+
+    def backtrack(images, phi):
+        if len(images) == len(gens):
+            yield tuple(phi)
+            return
+        for u in by_order[ord1[gens[len(images)]]]:
+            trial = images + [u]
+            extended = along_edges(trial)
+            if extended is not None:
+                yield from backtrack(trial, extended)
+
+    yield from backtrack([], along_edges([]))
+
+
 # --- axiom checks ------------------------------------------------------
 #
 # Each check returns None on success, else (witness, reason) where witness

@@ -22,7 +22,9 @@ prunes applied while rows are chosen:
 
 Survivors are verified in full, deduplicated through fingerprint buckets
 plus pairwise isomorphism tests, and sorted by fingerprint, which makes
-the result byte-identical across runs and worker counts.
+the result byte-identical across runs and worker counts.  Each isomorphism
+test walks core.group_isomorphisms, which picks images of greedy generators
+by backtracking and extends each choice along generator edges a -> a.g.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Optional
 
@@ -39,9 +41,10 @@ from .core import (
     HyperfieldCandidate,
     ch1_violation,
     ch5_violation,
+    inverses,
     verified,
 )
-from .errors import BudgetExceededError, CapacityError, StructuralError
+from .errors import BudgetExceededError, CapacityError, DomainError, StructuralError
 from .galois import factor_integer
 from .iso import are_isomorphic, fingerprint
 
@@ -55,13 +58,6 @@ class SearchOptions:
     jobs: int = 1
     progress_interval: int = 0
     budget_seconds: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class SearchSpec:
-    n: int
-    groups: tuple[tuple[tuple[int, ...], ...], ...]
-    options: SearchOptions = field(default_factory=SearchOptions)
 
 
 def _partitions(e: int, cap: Optional[int] = None):
@@ -127,16 +123,6 @@ class OneRowMap:
             raise StructuralError("exactly one nonzero z may have 0 in v(z)")
 
 
-def _inverses(n, mul):
-    inv = [0] * n
-    for x in range(1, n):
-        for y in range(1, n):
-            if mul[x][y] == 1:
-                inv[x] = y
-                break
-    return inv
-
-
 def _scalar_tables(n, mul):
     # smul[x][mask] = image of the subset `mask` under multiplication by x.
     smul = [None] * n
@@ -176,7 +162,7 @@ def expand_one_row(mul_table, nu: OneRowMap) -> HyperfieldCandidate:
     mul = tuple(tuple(row) for row in mul_table)
     if len(mul) != n or any(len(r) != n for r in mul):
         raise StructuralError("multiplication table must be n x n")
-    inv = _inverses(n, mul)
+    inv = inverses(n, mul)
     if any(inv[x] == 0 for x in range(1, n)):
         raise StructuralError("nonzero part of mul_table is not a group")
     smul = _scalar_tables(n, mul)
@@ -226,7 +212,7 @@ def _run_shard(args):
     n, mul, zstar, first_idx, deadline = args
     if deadline is not None and time.monotonic() > deadline:
         return 0, [], True
-    inv = _inverses(n, mul)
+    inv = inverses(n, mul)
     smul = _scalar_tables(n, mul)
     slots = _slots(n, mul, inv, zstar)
     first_z, first_choices = slots[0]
@@ -257,13 +243,12 @@ def _run_shard(args):
     return scanned, survivors, False
 
 
-def _shards(spec: SearchSpec, deadline):
+def _shards(n, groups, deadline):
     shards = []
-    for mul in spec.groups:
-        n = spec.n
+    for mul in groups:
+        inv = inverses(n, mul)
         involutions = [z for z in range(1, n) if mul[z][z] == 1]
         for zstar in involutions:
-            inv = _inverses(n, mul)
             first_choices = _slots(n, mul, inv, zstar)[0][1]
             for ci in range(len(first_choices)):
                 shards.append((n, mul, zstar, ci, deadline))
@@ -290,17 +275,21 @@ def enumerate_hyperfields(n: int, options: Optional[SearchOptions] = None) -> li
     if not 2 <= n <= MAX_ENUM_ORDER:
         raise CapacityError(f"enumeration supports orders 2..{MAX_ENUM_ORDER}")
     options = options or SearchOptions()
+    if options.jobs < 1:
+        raise DomainError(f"jobs must be at least 1, got {options.jobs}")
     deadline = (time.monotonic() + options.budget_seconds
                 if options.budget_seconds is not None else None)
-    spec = SearchSpec(n, tuple(abelian_groups(n - 1)), options)
-    shards = _shards(spec, deadline)
+    shards = _shards(n, abelian_groups(n - 1), deadline)
 
     scanned = 0
     survivors = []
     timed_out = False
     last_report = 0
-    if options.jobs > 1:
-        with ProcessPoolExecutor(max_workers=options.jobs) as pool:
+    # The pool forks every worker at the first submit, so it never gets
+    # more workers than there are shards.
+    workers = min(options.jobs, len(shards))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_shard, shards))
     else:
         results = map(_run_shard, shards)

@@ -3,9 +3,10 @@
 A hyperfield isomorphism must fix 0 (the unique scalar additive identity)
 and 1 (the unique multiplicative identity) and restricts to a group
 isomorphism of the nonzero multiplicative parts.  The search therefore
-iterates group isomorphisms only -- backtracking over generator images
-consistent with element orders -- and accepts the first extension that
-also preserves the hyperaddition setwise.
+iterates group isomorphisms only (core.group_isomorphisms: backtracking over
+images of greedy generators among elements of the same order, each partial
+choice extended along generator edges a -> a.g) and keeps those that also
+preserve the hyperaddition setwise.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import Hyperfield, iter_bits, require_verified
+from .core import Hyperfield, element_orders, group_isomorphisms, iter_bits, require_verified
 
 
 @dataclass(frozen=True, order=True)
@@ -28,18 +29,6 @@ class Fingerprint:
     self_flags: tuple[tuple[bool, bool], ...]
 
 
-def _mul_orders(n, mul) -> list[int]:
-    orders = []
-    for x in range(1, n):
-        y = x
-        k = 1
-        while y != 1:
-            y = mul[y][x]
-            k += 1
-        orders.append(k)
-    return orders
-
-
 def fingerprint(h: Hyperfield) -> Fingerprint:
     """Invariant under any carrier relabeling that fixes 0 and 1."""
     h = require_verified(h)
@@ -50,7 +39,7 @@ def fingerprint(h: Hyperfield) -> Fingerprint:
     return Fingerprint(
         n=n,
         cell_sizes=tuple(sizes),
-        mul_orders=tuple(sorted(_mul_orders(n, mul))),
+        mul_orders=tuple(sorted(element_orders(n, mul)[1:])),
         one_row_profile=tuple(sorted(hyperadd[1][z].bit_count() for z in range(n))),
         self_flags=tuple(flags),
     )
@@ -65,9 +54,10 @@ class IsoWitness:
 
 
 def is_isomorphism(c1, c2, perm) -> bool:
-    """Does perm preserve both tables?  Accepts candidates or hyperfields."""
+    """Is perm a bijection on 0..n-1 that preserves both tables?  Accepts
+    candidates or hyperfields."""
     n = c1.n
-    if c2.n != n or len(perm) != n:
+    if c2.n != n or sorted(perm) != list(range(n)):
         return False
     for a in range(n):
         for b in range(n):
@@ -79,77 +69,6 @@ def is_isomorphism(c1, c2, perm) -> bool:
             if img != c2.hyperadd[perm[a]][perm[b]]:
                 return False
     return True
-
-
-def _closure_of(mul, seed: set[int]) -> set[int]:
-    span = set(seed)
-    frontier = list(span)
-    while frontier:
-        a = frontier.pop()
-        for b in tuple(span):
-            c = mul[a][b]
-            if c not in span:
-                span.add(c)
-                frontier.append(c)
-    return span
-
-
-def _generators(n, mul) -> list[int]:
-    gens = []
-    span = {1}
-    for x in range(1, n):
-        if x not in span:
-            gens.append(x)
-            span = _closure_of(mul, span | {x})
-    return gens
-
-
-def _extend(mul1, mul2, assign: dict) -> Optional[dict]:
-    # Close a partial map under products; None on contradiction.
-    while True:
-        changed = False
-        items = list(assign.items())
-        for a, fa in items:
-            for b, fb in items:
-                c = mul1[a][b]
-                img = mul2[fa][fb]
-                cur = assign.get(c)
-                if cur is None:
-                    assign[c] = img
-                    changed = True
-                elif cur != img:
-                    return None
-        if not changed:
-            return assign
-
-
-def _group_isomorphisms(n, mul1, mul2):
-    """All isomorphisms of the nonzero multiplicative groups, as dicts on 1..n-1."""
-    ord1 = _mul_orders(n, mul1)
-    ord2 = _mul_orders(n, mul2)
-    if sorted(ord1) != sorted(ord2):
-        return
-    by_order: dict[int, list[int]] = {}
-    for x in range(1, n):
-        by_order.setdefault(ord2[x - 1], []).append(x)
-    gens = _generators(n, mul1)
-
-    def backtrack(i, assign):
-        if i == len(gens):
-            if len(set(assign.values())) == n - 1:
-                yield dict(assign)
-            return
-        g = gens[i]
-        for u in by_order.get(ord1[g - 1], ()):
-            if u in assign.values():
-                continue
-            trial = dict(assign)
-            trial[g] = u
-            closed = _extend(mul1, mul2, trial)
-            if closed is not None:
-                yield from backtrack(i + 1, closed)
-
-    yield from backtrack(0, {1: 1})
 
 
 def are_isomorphic(h1: Hyperfield, h2: Hyperfield) -> Optional[IsoWitness]:
@@ -165,10 +84,8 @@ def are_isomorphic(h1: Hyperfield, h2: Hyperfield) -> Optional[IsoWitness]:
         return None
     if fingerprint(h1) != fingerprint(h2):
         return None
-    n = h1.n
     best = None
-    for phi in _group_isomorphisms(n, h1.mul, h2.mul):
-        perm = tuple([0] + [phi[x] for x in range(1, n)])
+    for perm in group_isomorphisms(h1.n, h1.mul, h2.mul):
         if is_isomorphism(h1.candidate, h2.candidate, perm):
             if best is None or perm < best:
                 best = perm

@@ -163,6 +163,19 @@ class TestEnumerate:
         assert err.startswith("usage:")
         assert f"argument --jobs: must be at least 1, got {jobs}" in err
 
+    def test_count_only_and_out_are_exclusive(self, capsys, monkeypatch, tmp_path):
+        def no_search(*args, **kwargs):
+            raise AssertionError("argument parsing must reject the pair first")
+
+        monkeypatch.setattr("hyperfields.cli.enumerate_hyperfields", no_search)
+        outdir = tmp_path / "classes"
+        code, out, err = run_cli(capsys, "enumerate", "--order", "3", "--count-only",
+                                 "--out", str(outdir))
+        assert code == 2 and out == ""
+        assert err.startswith("usage:")
+        assert "not allowed with argument" in err
+        assert not outdir.exists()
+
     def test_unsupported_order(self, capsys):
         assert run_cli(capsys, "enumerate", "--order", "7")[0] == 3
 
@@ -195,6 +208,22 @@ class TestIso:
         path.write_text(render_document(to_document(other)))
         code, out, _ = run_cli(capsys, "iso", str(GOLDEN / "five_element.json"), str(path))
         assert code == 0 and out.startswith("isomorphic:")
+
+    def test_each_input_is_verified_once(self, capsys, monkeypatch, tmp_path):
+        calls = []
+
+        def counting_verify(c):
+            calls.append(c.n)
+            return verify(c)
+
+        monkeypatch.setattr("hyperfields.core.verify", counting_verify)
+        monkeypatch.setattr("hyperfields.cli.verify", counting_verify)
+        other = tmp_path / "relabel.json"
+        other.write_text(render_document(to_document(relabel(five_element_candidate(),
+                                                             (0, 1, 3, 4, 2)))))
+        code, out, _ = run_cli(capsys, "iso", str(GOLDEN / "five_element.json"), str(other))
+        assert code == 0 and out.startswith("isomorphic:")
+        assert calls == [5, 5]
 
     def test_unverifiable_input_is_distinct_from_non_isomorphic(self, capsys, tmp_path):
         text = (GOLDEN / "five_element.json").read_text(encoding="utf-8")

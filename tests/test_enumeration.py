@@ -5,6 +5,7 @@ import pytest
 from hyperfields import (
     BudgetExceededError,
     CapacityError,
+    DomainError,
     OneRowMap,
     SearchOptions,
     StructuralError,
@@ -16,6 +17,7 @@ from hyperfields import (
     gf,
     verify,
 )
+from hyperfields import enumeration
 from conftest import FIVE_MUL, brute_isomorphic, naive_classes, naive_scaffolds
 
 
@@ -148,6 +150,43 @@ class TestEnumerate:
         enumerate_hyperfields(4, SearchOptions(progress_interval=10))
         err = capsys.readouterr().err
         assert "scanned=" in err and "survivors=" in err
+
+
+class TestWorkerPool:
+    """The pool is replaced by a fake that records its size and maps in
+    process, so no test here starts a worker."""
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", RecordingPool)
+        return sizes
+
+    @pytest.mark.parametrize("n, count", [(2, 2), (3, 5), (4, 7)])
+    def test_pool_is_no_larger_than_the_shard_count(self, pool_sizes, n, count):
+        shards = enumeration._shards(n, abelian_groups(n - 1), None)
+        assert len(enumerate_hyperfields(n, SearchOptions(jobs=5000))) == count
+        assert pool_sizes == [len(shards)]
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_is_a_domain_error(self, pool_sizes, jobs):
+        with pytest.raises(DomainError):
+            enumerate_hyperfields(3, SearchOptions(jobs=jobs))
+        assert pool_sizes == []
 
 
 class TestNaiveOracle:

@@ -1,8 +1,12 @@
+import random
+from itertools import combinations, permutations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperfields import (
     PreconditionError,
+    abelian_groups,
     are_isomorphic,
     fingerprint,
     from_field,
@@ -12,6 +16,7 @@ from hyperfields import (
     relabel,
     verified,
 )
+from hyperfields.core import group_isomorphisms, span
 from conftest import brute_isomorphic, preserves_structure
 
 
@@ -122,3 +127,73 @@ class TestIsIsomorphism:
 
     def test_rejects_wrong_map(self, five):
         assert not is_isomorphism(five.candidate, five.candidate, (0, 1, 3, 2, 4))
+
+    @pytest.mark.parametrize("perm", [(0, 0, 0, 0, 0), (1, 1, 1, 1, 1), (0, 1, 2, 3, 5)],
+                             ids=["constant-zero", "repeated-entry", "out-of-range"])
+    def test_rejects_maps_that_are_not_bijections(self, five, perm):
+        assert not is_isomorphism(five.candidate, five.candidate, perm)
+
+
+# --- slow oracles for the group helpers ------------------------------------
+
+
+def _relabel_mul(mul, perm):
+    n = len(mul)
+    out = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[perm[a]][perm[b]] = perm[mul[a][b]]
+    return out
+
+
+def _brute_group_isomorphisms(mul1, mul2):
+    """Every permutation fixing 0 that carries products to products."""
+    n = len(mul1)
+    found = set()
+    for tail in permutations(range(1, n)):
+        perm = (0, *tail)
+        if all(perm[mul1[a][b]] == mul2[perm[a]][perm[b]]
+               for a in range(n) for b in range(n)):
+            found.add(perm)
+    return found
+
+
+def _fixed_point_closure(mul, gens):
+    closed = {1, *gens}
+    while True:
+        grown = closed | {mul[a][b] for a in closed for b in closed}
+        if grown == closed:
+            return closed
+        closed = grown
+
+
+GROUP_TABLES = [(m, i, mul) for m in range(1, 8) for i, mul in enumerate(abelian_groups(m))]
+
+
+class TestGroupOracles:
+    """core.group_isomorphisms and core.span against exhaustive searches
+    that share no code with the package, for every abelian group of order
+    at most 7."""
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_group_isomorphisms_match_all_permutations(self, m):
+        rng = random.Random(m)
+        tables = abelian_groups(m)
+        for mul1 in tables:
+            for mul2 in tables:
+                tail = list(range(2, m + 1))
+                rng.shuffle(tail)
+                other = _relabel_mul(mul2, (0, 1, *tail))
+                fast = list(group_isomorphisms(m + 1, mul1, other))
+                assert len(fast) == len(set(fast))
+                assert set(fast) == _brute_group_isomorphisms(mul1, other)
+                assert bool(fast) == (mul1 == mul2)
+
+    @pytest.mark.parametrize("m, i, mul", GROUP_TABLES,
+                             ids=[f"m{m}-{i}" for m, i, _ in GROUP_TABLES])
+    def test_span_matches_fixed_point_closure(self, m, i, mul):
+        for size in range(m + 1):
+            for gens in combinations(range(1, m + 1), size):
+                walked = span(mul, gens)
+                assert walked[0] == 1 and len(walked) == len(set(walked))
+                assert set(walked) == _fixed_point_closure(mul, gens)

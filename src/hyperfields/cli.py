@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 from pathlib import Path
 
@@ -68,9 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
     emit.add_argument("--count-only", action="store_true", help="print the count alone")
     emit.add_argument("--out", help="directory for one document per class")
     e.add_argument("--jobs", type=_positive_int, default=1)
-    e.add_argument("--progress", type=int, default=0, metavar="N",
+    e.add_argument("--progress", type=_non_negative_int, default=0, metavar="N",
                    help="report progress to stderr every N candidates")
-    e.add_argument("--budget", type=float, default=3600.0, metavar="SECONDS")
+    e.add_argument("--budget", type=_positive_seconds, default=3600.0, metavar="SECONDS")
     e.set_defaults(func=cmd_enumerate)
 
     i = sub.add_parser("iso", help="decide whether two stored hyperfields are isomorphic")
@@ -86,14 +87,21 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _positive_int(arg):
-    try:
-        value = int(arg)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {arg!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _checked(convert, ok, what):
+    def parse(arg):
+        try:
+            value = convert(arg)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value: {arg!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {arg}")
+        return value
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "at least 1")
+_non_negative_int = _checked(int, lambda v: v >= 0, "at least 0")
+_positive_seconds = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
 
 
 def _parse_field(arg):
@@ -187,12 +195,9 @@ def cmd_enumerate(args) -> int:
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        seen: dict[str, int] = {}
         for h in classes:
             digest = hashlib.sha256(repr(fingerprint(h)).encode()).hexdigest()[:12]
-            k = seen.get(digest, 0)
-            seen[digest] = k + 1
-            name = f"order{args.order}_{digest}_{k}.json"
+            name = f"order{args.order}_{digest}.json"
             (outdir / name).write_text(render_document(to_document(h.candidate)),
                                        encoding="utf-8")
     return 0

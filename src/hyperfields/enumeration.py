@@ -20,15 +20,15 @@ prunes applied while rows are chosen:
       are checked first with early exit -- every other axiom already holds
       by construction of the expansion.
 
-Survivors are verified in full, deduplicated through fingerprint buckets
-plus pairwise isomorphism tests, and sorted by fingerprint, which makes
-the result byte-identical across runs and worker counts.  Each isomorphism
-test walks core.group_isomorphisms, which picks images of greedy generators
-by backtracking and extends each choice along generator edges a -> a.g.
+Survivors are verified in full and deduplicated by iso.fingerprint, a
+complete canonical form; classes sort by it, so the result is byte-identical
+across runs and worker counts.  The budget is checked during the scan and
+again before verification and before deduplication.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -45,8 +45,8 @@ from .core import (
     verified,
 )
 from .errors import BudgetExceededError, CapacityError, DomainError, StructuralError
-from .galois import factor_integer
-from .iso import are_isomorphic, fingerprint
+from .galois import abelian_group_tables
+from .iso import are_isomorphic, fingerprint  # bench/spans.py wraps are_isomorphic here
 
 MAX_ENUM_ORDER = 6
 MAX_GROUP_ORDER = 8
@@ -60,47 +60,11 @@ class SearchOptions:
     budget_seconds: Optional[float] = None
 
 
-def _partitions(e: int, cap: Optional[int] = None):
-    # Partitions of e in descending-lexicographic order, parts descending.
-    if cap is None:
-        cap = e
-    if e == 0:
-        yield ()
-        return
-    for first in range(min(e, cap), 0, -1):
-        for rest in _partitions(e - first, first):
-            yield (first, *rest)
-
-
 def abelian_groups(m: int) -> list[tuple[tuple[int, ...], ...]]:
-    """One multiplication table per abelian group of order m up to isomorphism.
-
-    Tables are (m+1) x (m+1), shifted onto a hyperfield's carrier: index 0
-    is absorbing, the group lives on 1..m with identity at index 1.
-    """
+    """galois.abelian_group_tables(m) for the group orders enumeration supports."""
     if not 1 <= m <= MAX_GROUP_ORDER:
         raise CapacityError(f"group order must be in 1..{MAX_GROUP_ORDER}")
-    if m == 1:
-        per_prime = []
-    else:
-        per_prime = [(pp.p, tuple(_partitions(pp.k)))
-                     for pp in factor_integer(m).factors]
-
-    tables = []
-    for combo in iproduct(*(parts for _, parts in per_prime)):
-        moduli = tuple(p ** part
-                       for (p, _), parts in zip(per_prime, combo)
-                       for part in parts)
-        elements = list(iproduct(*(range(mod) for mod in moduli)))
-        index = {e: i for i, e in enumerate(elements)}
-        n = m + 1
-        mul = [[0] * n for _ in range(n)]
-        for i, a in enumerate(elements):
-            for j, b in enumerate(elements):
-                c = tuple((x + y) % mod for x, y, mod in zip(a, b, moduli))
-                mul[i + 1][j + 1] = index[c] + 1
-        tables.append(tuple(map(tuple, mul)))
-    return tables
+    return abelian_group_tables(m)
 
 
 @dataclass(frozen=True)
@@ -256,29 +220,28 @@ def _shards(n, groups, deadline):
 
 
 def _dedup(wrapped: list[Hyperfield]) -> list[Hyperfield]:
-    classes: list[tuple] = []
+    classes: dict[tuple, Hyperfield] = {}
     for h in wrapped:
-        fp = fingerprint(h)
-        if not any(fp == fp2 and are_isomorphic(h2, h) is not None
-                   for fp2, h2 in classes):
-            classes.append((fp, h))
-    classes.sort(key=lambda t: (t[0], t[1].hyperadd, t[1].mul))
-    return [h for _, h in classes]
+        classes.setdefault(fingerprint(h), h)
+    return [classes[key] for key in sorted(classes)]
 
 
 def enumerate_hyperfields(n: int, options: Optional[SearchOptions] = None) -> list[Hyperfield]:
     """All Krasner hyperfields of order n, one per isomorphism class.
 
-    Deterministic: shard order, merge order and the final fingerprint sort
-    are all fixed, so the output does not depend on the worker count.
+    Deterministic: shard order and merge order are fixed, each class keeps
+    its first survivor, and classes sort by fingerprint, so the output does
+    not depend on the worker count.
     """
     if not 2 <= n <= MAX_ENUM_ORDER:
         raise CapacityError(f"enumeration supports orders 2..{MAX_ENUM_ORDER}")
     options = options or SearchOptions()
     if options.jobs < 1:
         raise DomainError(f"jobs must be at least 1, got {options.jobs}")
-    deadline = (time.monotonic() + options.budget_seconds
-                if options.budget_seconds is not None else None)
+    budget = options.budget_seconds
+    if budget is not None and not 0 < budget < math.inf:
+        raise DomainError(f"budget must be a positive finite number of seconds, got {budget}")
+    deadline = time.monotonic() + budget if budget is not None else None
     shards = _shards(n, abelian_groups(n - 1), deadline)
 
     scanned = 0
@@ -303,11 +266,15 @@ def enumerate_hyperfields(n: int, options: Optional[SearchOptions] = None) -> li
             last_report = scanned
         if timed_out:
             break
-    if timed_out:
-        raise BudgetExceededError(
-            f"order-{n} enumeration exceeded its budget",
-            scanned=scanned, survivors=len(survivors))
 
+    def check_budget():
+        if timed_out or deadline is not None and time.monotonic() > deadline:
+            raise BudgetExceededError(
+                f"order-{n} enumeration exceeded its budget",
+                scanned=scanned, survivors=len(survivors))
+
+    check_budget()
     wrapped = [verified(HyperfieldCandidate(n, hyperadd, mul))
                for hyperadd, mul in survivors]
+    check_budget()
     return _dedup(wrapped)

@@ -1,4 +1,5 @@
-"""Finite fields GF(p^k) as explicit Cayley tables, plus prime-power factoring.
+"""Finite fields GF(p^k) as explicit Cayley tables, plus prime-power factoring
+and the abelian group tables built from it.
 
 Elements are carrier indices 0..q-1.  The element whose polynomial
 representative has coefficient vector (c0, ..., c_{k-1}) over GF(p), low
@@ -91,6 +92,42 @@ def factor_integer(n: int) -> Factorization:
     if rest > 1:
         factors.append(PrimePower(rest, 1))
     return Factorization(n, tuple(factors))
+
+
+def _partitions(e: int, cap: int):
+    # Partitions of e into parts <= cap, descending-lexicographic order.
+    if e == 0:
+        yield ()
+        return
+    for first in range(min(e, cap), 0, -1):
+        for rest in _partitions(e - first, first):
+            yield (first, *rest)
+
+
+def abelian_group_tables(m: int) -> list[tuple[tuple[int, ...], ...]]:
+    """One multiplication table per abelian group of order m >= 1 up to
+    isomorphism, one per choice of a partition of each prime exponent.
+
+    Tables are (m+1) x (m+1), shifted onto a hyperfield's carrier: index 0
+    is absorbing, the group lives on 1..m with identity at index 1.
+    """
+    per_prime = [(pp.p, tuple(_partitions(pp.k, pp.k)))
+                 for pp in factor_integer(m).factors] if m > 1 else []
+    n = m + 1
+    tables = []
+    for combo in iproduct(*(parts for _, parts in per_prime)):
+        moduli = tuple(p ** part
+                       for (p, _), parts in zip(per_prime, combo)
+                       for part in parts)
+        elements = list(iproduct(*(range(mod) for mod in moduli)))
+        index = {e: i for i, e in enumerate(elements)}
+        mul = [[0] * n for _ in range(n)]
+        for i, a in enumerate(elements):
+            for j, b in enumerate(elements):
+                c = tuple((x + y) % mod for x, y, mod in zip(a, b, moduli))
+                mul[i + 1][j + 1] = index[c] + 1
+        tables.append(tuple(map(tuple, mul)))
+    return tables
 
 
 @dataclass(frozen=True)

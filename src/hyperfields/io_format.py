@@ -201,8 +201,8 @@ def parse_document(text) -> HyperfieldDocument:
                 raise ValidationError(
                     f"cell at ({i},{j}) must be strictly ascending", code="cell-order")
 
-    # Index normalization: reject rather than relabel, so equality and
-    # fingerprints stay canonical across archives.
+    # Index normalization: reject rather than relabel, so 0 and 1 sit at
+    # indices 0 and 1 in every stored table, as the verifier expects.
     for y in range(n):
         if hyperadd[0][y] != [y]:
             raise ValidationError(

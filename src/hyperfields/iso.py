@@ -1,12 +1,12 @@
-"""Isomorphism of hyperfields and relabeling-invariant fingerprints.
+"""Isomorphism of hyperfields and a complete canonical form.
 
-A hyperfield isomorphism must fix 0 (the unique scalar additive identity)
-and 1 (the unique multiplicative identity) and restricts to a group
-isomorphism of the nonzero multiplicative parts.  The search therefore
-iterates group isomorphisms only (core.group_isomorphisms: backtracking over
-images of greedy generators among elements of the same order, each partial
-choice extended along generator edges a -> a.g) and keeps those that also
-preserve the hyperaddition setwise.
+A hyperfield isomorphism fixes 0 and 1 and restricts to a group isomorphism
+of the nonzero multiplicative parts.  Distributivity forces the whole
+hyperaddition from the row v(z) = 1(+)z, so the hyperfield isomorphisms are
+the group isomorphisms tau with tau(v(z)) = v'(tau(z)).  Group isomorphisms
+come from core.group_isomorphisms in lexicographic order: the greedy
+generators are the smallest elements outside the span of the earlier ones,
+and their images are tried in ascending order.
 """
 
 from __future__ import annotations
@@ -15,34 +15,30 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import Hyperfield, element_orders, group_isomorphisms, iter_bits, require_verified
+from .galois import abelian_group_tables
 
 
-@dataclass(frozen=True, order=True)
-class Fingerprint:
-    """Relabeling-invariant summary; equality is necessary for isomorphism,
-    never sufficient."""
-
-    n: int
-    cell_sizes: tuple[int, ...]
-    mul_orders: tuple[int, ...]
-    one_row_profile: tuple[int, ...]
-    self_flags: tuple[tuple[bool, bool], ...]
-
-
-def fingerprint(h: Hyperfield) -> Fingerprint:
-    """Invariant under any carrier relabeling that fixes 0 and 1."""
+def fingerprint(h: Hyperfield) -> tuple:
+    """A complete invariant: verified hyperfields get equal values exactly
+    when they are isomorphic.  The value is (n, sorted orders of the nonzero
+    elements, row): row is the smallest tau.v.tau^-1, as masks, over the group
+    isomorphisms tau onto the matching galois.abelian_group_tables(n - 1)
+    table.  Cost: n set images per automorphism of the group, |Aut(G)| . n.
+    """
     h = require_verified(h)
-    n, hyperadd, mul = h.n, h.hyperadd, h.mul
-    sizes = sorted(hyperadd[a][b].bit_count() for a in range(n) for b in range(n))
-    flags = sorted((bool(hyperadd[a][a] >> a & 1), bool(hyperadd[a][a] & 1))
-                   for a in range(n))
-    return Fingerprint(
-        n=n,
-        cell_sizes=tuple(sizes),
-        mul_orders=tuple(sorted(element_orders(n, mul)[1:])),
-        one_row_profile=tuple(sorted(hyperadd[1][z].bit_count() for z in range(n))),
-        self_flags=tuple(flags),
-    )
+    n, mul, v = h.n, h.mul, h.hyperadd[1]
+    orders = sorted(element_orders(n, mul)[1:])
+    table = next(t for t in abelian_group_tables(n - 1)
+                 if sorted(element_orders(n, t)[1:]) == orders)
+
+    def carried(tau):
+        # tau.v.tau^-1: the row of tau(z) is the image of v(z) under tau.
+        row = [0] * n
+        for z, mask in enumerate(v):
+            row[tau[z]] = sum(1 << tau[w] for w in iter_bits(mask))
+        return row
+
+    return (n, tuple(orders), tuple(min(map(carried, group_isomorphisms(n, mul, table)))))
 
 
 @dataclass(frozen=True)
@@ -74,19 +70,14 @@ def is_isomorphism(c1, c2, perm) -> bool:
 def are_isomorphic(h1: Hyperfield, h2: Hyperfield) -> Optional[IsoWitness]:
     """The lexicographically first isomorphism witness, or None.
 
-    Fast paths: order mismatch, then fingerprint mismatch.  The full search
-    walks group isomorphisms of the nonzero parts and keeps those that also
-    preserve the hyperaddition.
+    Group isomorphisms of the nonzero parts come in lexicographic order, so
+    the first one that also preserves the hyperaddition is the answer.
     """
     h1 = require_verified(h1)
     h2 = require_verified(h2)
     if h1.n != h2.n:
         return None
-    if fingerprint(h1) != fingerprint(h2):
-        return None
-    best = None
     for perm in group_isomorphisms(h1.n, h1.mul, h2.mul):
         if is_isomorphism(h1.candidate, h2.candidate, perm):
-            if best is None or perm < best:
-                best = perm
-    return IsoWitness(best) if best is not None else None
+            return IsoWitness(perm)
+    return None

@@ -98,6 +98,20 @@ def order_pool():
     return {n: hyperfield_of_order(n) for n in range(2, 31)}
 
 
+class SteppingClock:
+    """Stands in for the enumeration module's `time`: each monotonic() call
+    moves the reading on by `step` seconds and returns it.  Tests may also
+    set `now` directly."""
+
+    def __init__(self, step=0.0):
+        self.now = 0.0
+        self.step = step
+
+    def monotonic(self):
+        self.now += self.step
+        return self.now
+
+
 # --- independent oracles -------------------------------------------------
 
 

@@ -29,8 +29,10 @@ from hyperfields import (
     verified,
     verify,
 )
+from hyperfields import enumeration
 from hyperfields.cli import main
 from conftest import (
+    SteppingClock,
     brute_isomorphic,
     naive_classes,
     one_row_reconstruction_ok,
@@ -127,8 +129,10 @@ class TestC3ClassificationCounts:
         report_line(3, f"order 6 -> {len(classes)} in {elapsed:.2f}s", ok)
         assert len(classes) == 16
 
-    def test_budget_exhaustion_never_prints_a_count(self, capsys):
-        code = main(["enumerate", "--order", "5", "--budget", "0"])
+    def test_budget_exhaustion_never_prints_a_count(self, capsys, monkeypatch):
+        # One second passes per clock reading, so the first shard is late.
+        monkeypatch.setattr(enumeration, "time", SteppingClock(1.0))
+        code = main(["enumerate", "--order", "5", "--budget", "0.5"])
         captured = capsys.readouterr()
         ok = code == 3 and captured.out == ""
         report_line(3, "budget path is status 3 with no count", ok)

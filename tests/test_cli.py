@@ -1,12 +1,24 @@
+import hashlib
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from hyperfields import candidate_from_document, parse_document, relabel, render_document, to_document, verify
+from hyperfields import (
+    candidate_from_document,
+    enumerate_hyperfields,
+    enumeration,
+    fingerprint,
+    parse_document,
+    relabel,
+    render_document,
+    to_document,
+    verify,
+)
 from hyperfields.cli import main
-from conftest import five_element_candidate
+from conftest import SteppingClock, five_element_candidate
 from test_io_format import FIVE_TABLE_TEXT
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
@@ -145,9 +157,23 @@ class TestEnumerate:
         for name in names1:
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
-    def test_budget_exceeded_is_status_three(self, capsys):
+    def test_out_names_are_fingerprint_digests(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "enumerate", "--order", "4", "--out", str(tmp_path))
+        classes = enumerate_hyperfields(4)
+        assert code == 0 and out.strip() == str(len(classes))
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert len(names) == len(set(names)) == len(classes)
+        assert all(re.fullmatch(r"order4_[0-9a-f]{12}\.json", name) for name in names)
+        for h in classes:
+            digest = hashlib.sha256(repr(fingerprint(h)).encode()).hexdigest()[:12]
+            text = (tmp_path / f"order4_{digest}.json").read_text(encoding="utf-8")
+            assert text == render_document(to_document(h.candidate))
+
+    def test_budget_exceeded_is_status_three(self, capsys, monkeypatch):
+        # One second passes per clock reading, so the first shard is late.
+        monkeypatch.setattr(enumeration, "time", SteppingClock(1.0))
         code, out, err = run_cli(capsys, "enumerate", "--order", "5",
-                                 "--budget", "0")
+                                 "--budget", "0.5")
         assert code == 3
         assert out == ""  # never a wrong count
         assert "budget exceeded" in err
@@ -162,6 +188,25 @@ class TestEnumerate:
         assert code == 2 and out == ""
         assert err.startswith("usage:")
         assert f"argument --jobs: must be at least 1, got {jobs}" in err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--budget", "nan", "must be positive and finite, got nan"),
+        ("--budget", "inf", "must be positive and finite, got inf"),
+        ("--budget", "0", "must be positive and finite, got 0"),
+        ("--budget", "-1", "must be positive and finite, got -1"),
+        ("--budget", "soon", "invalid float value: 'soon'"),
+        ("--progress", "-3", "must be at least 0, got -3"),
+    ])
+    def test_bad_budget_or_progress_is_a_usage_error(self, capsys, monkeypatch,
+                                                     flag, value, message):
+        def no_search(*args, **kwargs):
+            raise AssertionError(f"argument parsing must reject {flag} first")
+
+        monkeypatch.setattr("hyperfields.cli.enumerate_hyperfields", no_search)
+        code, out, err = run_cli(capsys, "enumerate", "--order", "3", flag, value)
+        assert code == 2 and out == ""
+        assert err.startswith("usage:")
+        assert f"argument {flag}: {message}" in err
 
     def test_count_only_and_out_are_exclusive(self, capsys, monkeypatch, tmp_path):
         def no_search(*args, **kwargs):

@@ -6,6 +6,7 @@ from hyperfields import (
     BudgetExceededError,
     CapacityError,
     DomainError,
+    HyperfieldCandidate,
     OneRowMap,
     SearchOptions,
     StructuralError,
@@ -18,7 +19,7 @@ from hyperfields import (
     verify,
 )
 from hyperfields import enumeration
-from conftest import FIVE_MUL, brute_isomorphic, naive_classes, naive_scaffolds
+from conftest import FIVE_MUL, SteppingClock, brute_isomorphic, naive_classes, naive_scaffolds
 
 
 def assert_is_abelian_group_table(mul):
@@ -123,6 +124,17 @@ class TestEnumerate:
                 for b in classes[i + 1:]:
                     assert are_isomorphic(a, b) is None
 
+    def test_each_class_keeps_its_first_survivor(self, enum_classes):
+        # Survivors in scan order, grouped by the brute-force oracle.
+        for n in (3, 4, 5):
+            kept = []
+            for shard in enumeration._shards(n, abelian_groups(n - 1), None):
+                for hyperadd, mul in enumeration._run_shard(shard)[1]:
+                    c = HyperfieldCandidate(n, hyperadd, mul)
+                    if all(brute_isomorphic(c, k) is None for k in kept):
+                        kept.append(c)
+            assert sorted(kept, key=repr) == sorted((h.candidate for h in enum_classes[n]), key=repr)
+
     def test_every_class_passes_the_verifier(self, enum_classes):
         for classes in enum_classes.values():
             for h in classes:
@@ -141,15 +153,66 @@ class TestEnumerate:
         with pytest.raises(CapacityError):
             enumerate_hyperfields(7)
 
-    def test_budget_exhaustion_reports_progress(self):
+    def test_budget_exhaustion_reports_progress(self, monkeypatch):
+        # One second passes per clock reading, so the first shard is late.
+        monkeypatch.setattr(enumeration, "time", SteppingClock(1.0))
         with pytest.raises(BudgetExceededError) as err:
-            enumerate_hyperfields(5, SearchOptions(budget_seconds=0.0))
+            enumerate_hyperfields(5, SearchOptions(budget_seconds=0.5))
         assert err.value.scanned >= 0 and err.value.survivors >= 0
 
     def test_progress_lines_on_stderr(self, capsys):
         enumerate_hyperfields(4, SearchOptions(progress_interval=10))
         err = capsys.readouterr().err
         assert "scanned=" in err and "survivors=" in err
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the budget must stop the run before this phase")
+
+
+class TestBudget:
+    """The module's clock is faked, so the budget runs out exactly where a
+    test puts it."""
+
+    @pytest.fixture
+    def clock(self, monkeypatch):
+        clock = SteppingClock()
+        monkeypatch.setattr(enumeration, "time", clock)
+        return clock
+
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_budget_must_be_positive_and_finite(self, monkeypatch, budget):
+        monkeypatch.setattr(enumeration, "_shards", _must_not_run)
+        with pytest.raises(DomainError):
+            enumerate_hyperfields(3, SearchOptions(budget_seconds=budget))
+
+    def test_checked_before_survivor_verification(self, clock, monkeypatch):
+        scan = enumeration._run_shard
+
+        def scan_then_expire(args):
+            clock.now = 0.0
+            found = scan(args)
+            clock.now = 100.0
+            return found
+
+        monkeypatch.setattr(enumeration, "_run_shard", scan_then_expire)
+        monkeypatch.setattr(enumeration, "verified", _must_not_run)
+        with pytest.raises(BudgetExceededError) as err:
+            enumerate_hyperfields(5, SearchOptions(budget_seconds=10.0))
+        assert (err.value.scanned, err.value.survivors) == (3672, 48)
+
+    def test_checked_before_dedup(self, clock, monkeypatch):
+        verify_survivor = enumeration.verified
+
+        def verify_then_expire(c):
+            clock.now = 100.0
+            return verify_survivor(c)
+
+        monkeypatch.setattr(enumeration, "verified", verify_then_expire)
+        monkeypatch.setattr(enumeration, "fingerprint", _must_not_run)
+        with pytest.raises(BudgetExceededError) as err:
+            enumerate_hyperfields(5, SearchOptions(budget_seconds=10.0))
+        assert (err.value.scanned, err.value.survivors) == (3672, 48)
 
 
 class TestWorkerPool:

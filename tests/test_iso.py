@@ -13,6 +13,7 @@ from hyperfields import (
     gf,
     is_isomorphism,
     massouros,
+    pair_hyperfield,
     relabel,
     verified,
 )
@@ -35,15 +36,13 @@ class TestFingerprint:
         other = verified(relabel(five.candidate, perm))
         assert fingerprint(five) == fingerprint(other)
 
-    def test_field_and_massouros_differ_in_cell_sizes(self):
-        plain = fingerprint(from_field(gf(3)))
-        triple = fingerprint(massouros(gf(3)))
-        assert set(plain.cell_sizes) == {1}
-        assert {2, 3} <= set(triple.cell_sizes)
-        assert plain != triple
+    def test_field_and_massouros_differ(self):
+        assert fingerprint(from_field(gf(3))) != fingerprint(massouros(gf(3)))
 
-    def test_five_element_one_row_profile_reaches_the_carrier(self, five):
-        assert 5 in fingerprint(five).one_row_profile
+    def test_five_element_one_row_reaches_the_carrier(self, five):
+        n, orders, row = fingerprint(five)
+        assert (n, orders) == (5, (1, 2, 4, 4))
+        assert (1 << 5) - 1 in row
 
     def test_requires_verified(self, five_candidate):
         with pytest.raises(PreconditionError):
@@ -119,6 +118,58 @@ class TestBruteForceAgreement:
             other = verified(relabel(h.candidate, (0, 1, 3, 2)))
             assert brute_isomorphic(h.candidate, other.candidate) is not None
             assert are_isomorphic(h, other) is not None
+
+
+def _relabelled_copies(h, count, seed):
+    """count verified copies of h under seeded relabellings fixing 0 and 1."""
+    rng = random.Random(seed)
+    copies = []
+    for _ in range(count):
+        tail = list(range(2, h.n))
+        rng.shuffle(tail)
+        copies.append(verified(relabel(h.candidate, (0, 1, *tail))))
+    return copies
+
+
+class TestCanonicalFormOracle:
+    """fingerprint is a complete invariant and are_isomorphic returns the
+    first isomorphism, both checked against brute_isomorphic, which tries
+    every bijection fixing 0 in lexicographic order and shares no code with
+    the package."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_equal_fingerprints_exactly_when_isomorphic(self, enum_classes, n):
+        pool = []
+        for i, h in enumerate(enum_classes[n]):
+            pool += [h, *_relabelled_copies(h, 2, f"fp{n}:{i}")]
+        keys = [fingerprint(h) for h in pool]
+        for i, a in enumerate(pool):
+            for j in range(i, len(pool)):
+                same = brute_isomorphic(a.candidate, pool[j].candidate) is not None
+                assert (keys[i] == keys[j]) == same
+
+    def test_order_32_constructions_stay_apart(self):
+        # The multiset of cell sizes is invariant under any bijection, so
+        # differing multisets already rule out an isomorphism.
+        bases = [massouros(gf(2, 5)), pair_hyperfield(32)]
+        sizes = [sorted(m.bit_count() for row in h.hyperadd for m in row) for h in bases]
+        assert sizes[0] != sizes[1]
+        keys = []
+        for i, h in enumerate(bases):
+            keys.append(fingerprint(h))
+            for copy in _relabelled_copies(h, 2, f"fp32:{i}"):
+                assert fingerprint(copy) == keys[i]
+        assert keys[0] != keys[1]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_witness_is_the_first_isomorphism(self, enum_classes, n):
+        for i, h in enumerate(enum_classes[n]):
+            group = [h, *_relabelled_copies(h, 2, f"w{n}:{i}")]
+            for a in group:
+                for b in group:
+                    w = are_isomorphic(a, b)
+                    assert w is not None
+                    assert w.mapping == brute_isomorphic(a.candidate, b.candidate)
 
 
 class TestIsIsomorphism:

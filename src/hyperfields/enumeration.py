@@ -39,6 +39,7 @@ from typing import Optional
 from .core import (
     Hyperfield,
     HyperfieldCandidate,
+    _expand,  # bench/spans.py wraps _expand here
     ch1_violation,
     ch5_violation,
     inverses,
@@ -61,10 +62,11 @@ class SearchOptions:
 
 
 def abelian_groups(m: int) -> list[tuple[tuple[int, ...], ...]]:
-    """galois.abelian_group_tables(m) for the group orders enumeration supports."""
+    """galois.abelian_group_tables(m), as a new list, for the group orders
+    enumeration supports."""
     if not 1 <= m <= MAX_GROUP_ORDER:
         raise CapacityError(f"group order must be in 1..{MAX_GROUP_ORDER}")
-    return abelian_group_tables(m)
+    return list(abelian_group_tables(m))
 
 
 @dataclass(frozen=True)
@@ -98,21 +100,6 @@ def _scalar_tables(n, mul):
             arr[m] = arr[m ^ low] | (1 << row[low.bit_length() - 1])
         smul[x] = arr
     return smul
-
-
-def _expand(n, mul, inv, smul, masks):
-    hyperadd = [[0] * n for _ in range(n)]
-    row0 = hyperadd[0]
-    for y in range(n):
-        row0[y] = 1 << y
-    for x in range(1, n):
-        rx = hyperadd[x]
-        rx[0] = 1 << x
-        mi = mul[inv[x]]
-        sx = smul[x]
-        for y in range(1, n):
-            rx[y] = sx[masks[mi[y]]]
-    return hyperadd
 
 
 def expand_one_row(mul_table, nu: OneRowMap) -> HyperfieldCandidate:
@@ -238,6 +225,9 @@ def enumerate_hyperfields(n: int, options: Optional[SearchOptions] = None) -> li
     options = options or SearchOptions()
     if options.jobs < 1:
         raise DomainError(f"jobs must be at least 1, got {options.jobs}")
+    if options.progress_interval < 0:
+        raise DomainError(
+            f"progress interval must be at least 0, got {options.progress_interval}")
     budget = options.budget_seconds
     if budget is not None and not 0 < budget < math.inf:
         raise DomainError(f"budget must be a positive finite number of seconds, got {budget}")

@@ -13,9 +13,10 @@ first), so tables are reproducible bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product as iproduct
 
-from .core import AxiomReport, AxiomResult
+from .core import AxiomReport, AxiomResult, element_orders
 from .errors import CapacityError, DomainError, StructuralError
 
 MAX_EXTENSION_DEGREE = 8
@@ -104,12 +105,14 @@ def _partitions(e: int, cap: int):
             yield (first, *rest)
 
 
-def abelian_group_tables(m: int) -> list[tuple[tuple[int, ...], ...]]:
+@cache
+def abelian_group_tables(m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """One multiplication table per abelian group of order m >= 1 up to
     isomorphism, one per choice of a partition of each prime exponent.
 
     Tables are (m+1) x (m+1), shifted onto a hyperfield's carrier: index 0
-    is absorbing, the group lives on 1..m with identity at index 1.
+    is absorbing, the group lives on 1..m with identity at index 1.  Built
+    once per order; the tuples cannot be changed by a caller.
     """
     per_prime = [(pp.p, tuple(_partitions(pp.k, pp.k)))
                  for pp in factor_integer(m).factors] if m > 1 else []
@@ -127,7 +130,15 @@ def abelian_group_tables(m: int) -> list[tuple[tuple[int, ...], ...]]:
                 c = tuple((x + y) % mod for x, y, mod in zip(a, b, moduli))
                 mul[i + 1][j + 1] = index[c] + 1
         tables.append(tuple(map(tuple, mul)))
-    return tables
+    return tuple(tables)
+
+
+@cache
+def abelian_group_orders(m: int) -> tuple[tuple[int, ...], ...]:
+    """The sorted orders of the m nonzero elements of each table of
+    abelian_group_tables(m), in the same sequence; no two are equal, since
+    element orders tell finite abelian groups apart."""
+    return tuple(tuple(sorted(element_orders(m + 1, t)[1:])) for t in abelian_group_tables(m))
 
 
 @dataclass(frozen=True)

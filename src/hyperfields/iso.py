@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import Hyperfield, element_orders, group_isomorphisms, iter_bits, require_verified
-from .galois import abelian_group_tables
+from .galois import abelian_group_orders, abelian_group_tables
 
 
 def fingerprint(h: Hyperfield) -> tuple:
@@ -27,9 +27,8 @@ def fingerprint(h: Hyperfield) -> tuple:
     """
     h = require_verified(h)
     n, mul, v = h.n, h.mul, h.hyperadd[1]
-    orders = sorted(element_orders(n, mul)[1:])
-    table = next(t for t in abelian_group_tables(n - 1)
-                 if sorted(element_orders(n, t)[1:]) == orders)
+    orders = tuple(sorted(element_orders(n, mul)[1:]))
+    table = abelian_group_tables(n - 1)[abelian_group_orders(n - 1).index(orders)]
 
     def carried(tau):
         # tau.v.tau^-1: the row of tau(z) is the image of v(z) under tau.
@@ -38,7 +37,7 @@ def fingerprint(h: Hyperfield) -> tuple:
             row[tau[z]] = sum(1 << tau[w] for w in iter_bits(mask))
         return row
 
-    return (n, tuple(orders), tuple(min(map(carried, group_isomorphisms(n, mul, table)))))
+    return (n, orders, tuple(min(map(carried, group_isomorphisms(n, mul, table)))))
 
 
 @dataclass(frozen=True)

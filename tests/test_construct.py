@@ -1,4 +1,7 @@
+import importlib.util
+import sys
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +20,17 @@ from hyperfields import (
     quotient,
     subgroup_closure,
 )
+from hyperfields.construct import MAX_SYNTH_ORDER
 from conftest import all_subgroups
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestSubgroupClosure:
@@ -187,6 +200,51 @@ class TestHyperfieldOfOrder:
             hyperfield_of_order(1)
         with pytest.raises(CapacityError):
             hyperfield_of_order(65)
+
+
+def is_prime_power(n):
+    p = next(d for d in range(2, n + 1) if n % d == 0)
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
+class TestExistenceSweep:
+    """scripts/existence_sweep.py: a verified hyperfield at every order the
+    synthesis accepts.  No timing is checked."""
+
+    def test_every_order_up_to_the_bound(self):
+        rows = list(load_script("existence_sweep").sweep(MAX_SYNTH_ORDER))
+        assert MAX_SYNTH_ORDER >= 64
+        assert [n for n, *_ in rows] == list(range(2, MAX_SYNTH_ORDER + 1))
+        for n, method, h, seconds in rows:
+            assert h.n == n and seconds >= 0
+            assert method == ("massouros" if is_prime_power(n) else "pair"), n
+            if n > 2:  # only the pair hyperfield has 1 (+) z = {1, z} for every z >= 2
+                pair_row = all(h.hyperadd[1][z] == 2 | 1 << z for z in range(2, n))
+                assert pair_row == (method == "pair"), n
+
+    @pytest.mark.parametrize("argv", [["--max-order", "1"],
+                                      ["--max-order", str(MAX_SYNTH_ORDER + 1)],
+                                      ["--max-order", "six"], ["--orders"]])
+    def test_bad_arguments_exit_2(self, monkeypatch, capsys, argv):
+        script = load_script("existence_sweep")
+        monkeypatch.setattr(script, "sweep", None)  # never reached
+        monkeypatch.setattr(sys, "argv", ["existence_sweep.py", *argv])
+        with pytest.raises(SystemExit) as exc:
+            script.main()
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_prints_one_row_per_order(self, monkeypatch, capsys):
+        script = load_script("existence_sweep")
+        monkeypatch.setattr(sys, "argv", ["existence_sweep.py", "--max-order", "6"])
+        script.main()
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["order", "method", "seconds"]
+        assert [line.split()[:2] for line in lines[1:]] == [
+            ["2", "massouros"], ["3", "massouros"], ["4", "massouros"],
+            ["5", "massouros"], ["6", "pair"]]
 
 
 class TestOrderArithmetic:

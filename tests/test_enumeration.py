@@ -251,6 +251,12 @@ class TestWorkerPool:
             enumerate_hyperfields(3, SearchOptions(jobs=jobs))
         assert pool_sizes == []
 
+    def test_negative_progress_interval_is_a_domain_error(self, pool_sizes, monkeypatch):
+        monkeypatch.setattr(enumeration, "_shards", _must_not_run)
+        with pytest.raises(DomainError, match="progress interval"):
+            enumerate_hyperfields(3, SearchOptions(jobs=2, progress_interval=-3))
+        assert pool_sizes == []
+
 
 class TestNaiveOracle:
     """End-to-end validation of the one-row reduction: enumerate raw tables

@@ -17,6 +17,7 @@ from hyperfields import (
     relabel,
     verified,
 )
+from hyperfields import galois
 from hyperfields.core import group_isomorphisms, span
 from conftest import brute_isomorphic, preserves_structure
 
@@ -47,6 +48,19 @@ class TestFingerprint:
     def test_requires_verified(self, five_candidate):
         with pytest.raises(PreconditionError):
             fingerprint(five_candidate)
+
+    def test_second_call_builds_no_group_table(self, monkeypatch):
+        h = massouros(gf(2, 3))
+        first = fingerprint(h)
+
+        def must_not_build(*args):
+            raise AssertionError("the group tables of this order are already built")
+
+        monkeypatch.setattr(galois, "_partitions", must_not_build)
+        monkeypatch.setattr(galois, "element_orders", must_not_build)
+        assert fingerprint(h) == first
+        tables = galois.abelian_group_tables(7)
+        assert isinstance(tables, tuple) and tables is galois.abelian_group_tables(7)
 
 
 class TestAreIsomorphic:

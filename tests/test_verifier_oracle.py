@@ -1,27 +1,45 @@
-"""Slow oracles for the verifier's two row-scanning checks, CH1 and KR3.
+"""Slow oracles for the verifier: its two row-scanning checks, CH1 and KR3,
+and the reductions that decide a passing table.
 
 The package scans CH1 and KR3 a whole row over z at a time through per-x
 memo tables.  The oracles below are the axiom definitions written as
 literal triple loops over plain Python sets: no caches, no bitmask helpers
 and nothing imported from the package's core.  Both must name the same
 lexicographically first witness and the same reason, or both must pass.
+
+verify() proves a pass by reductions to x = 1 and to Light's test, and only
+falls back to the exhaustive checks when they prove nothing.  Every input
+here also checks that the reduced decision equals the exhaustive verdict
+and that verify() returns exactly the exhaustive report.  Each reduction is
+also checked on its own against the exhaustive check it replaces, because
+the whole decision can hide a wrong step behind another axiom's failure.
 """
 
 from __future__ import annotations
 
+import random
 from itertools import product as iproduct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperfields import (
+    AxiomReport,
+    AxiomResult,
     HyperfieldCandidate,
+    OneRowMap,
+    abelian_groups,
+    enumerate_hyperfields,
+    expand_one_row,
     gf,
     massouros,
     pair_hyperfield,
     quotient,
+    relabel,
     verify,
 )
+from hyperfields import core
+from hyperfields.enumeration import _scalar_tables
 from conftest import all_subgroups, five_element_candidate
 
 
@@ -61,8 +79,34 @@ def kr3_oracle(n, hyperadd, mul):
 ORACLES = (("CH1", ch1_oracle), ("KR3", kr3_oracle))
 
 
+def exhaustive_report(c):
+    """The report of every exhaustive check, with no reduction."""
+    results = []
+    for axiom, check in core.AXIOM_CHECKS:
+        hit = check(c.n, c.hyperadd, c.mul)
+        results.append(AxiomResult(axiom, True) if hit is None
+                       else AxiomResult(axiom, False, *hit))
+    return AxiomReport(tuple(results))
+
+
+def quadratic_checks_pass(n, hyperadd, mul):
+    return all(check(n, hyperadd, mul) is None for axiom, check in core.AXIOM_CHECKS
+               if axiom in core.QUADRATIC_AXIOMS)
+
+
+def assert_reduction_agrees(c):
+    """The reduced decision is the exhaustive verdict, and verify() gives
+    exactly the exhaustive report."""
+    want = exhaustive_report(c)
+    reduced = (quadratic_checks_pass(c.n, c.hyperadd, c.mul)
+               and core._passes_reduced(c.n, c.hyperadd, c.mul))
+    assert reduced == want.ok
+    assert verify(c) == want
+    return want
+
+
 def assert_matches_oracles(c):
-    report = verify(c)
+    report = assert_reduction_agrees(c)
     for axiom, oracle in ORACLES:
         got = report[axiom]
         want = oracle(c.n, c.hyperadd, c.mul)
@@ -145,3 +189,177 @@ def corrupted(draw):
 @settings(max_examples=300, deadline=None)
 def test_corrupted_tables_agree_with_the_oracles(c):
     assert_matches_oracles(c)
+
+
+# --- the reductions that decide a passing table ---------------------------
+
+
+def assert_decision_agrees(c):
+    """Where the six O(n^2) checks pass, the reductions prove exactly the
+    tables on which every exhaustive check passes; elsewhere verify() never
+    calls them."""
+    n, hyperadd, mul = c.n, c.hyperadd, c.mul
+    if quadratic_checks_pass(n, hyperadd, mul):
+        exhaustive = all(check(n, hyperadd, mul) is None for _, check in core.AXIOM_CHECKS)
+        assert core._passes_reduced(n, hyperadd, mul) == exhaustive
+
+
+def test_order_six_classes_are_proved_by_the_reductions():
+    for h in enumerate_hyperfields(6):
+        assert assert_reduction_agrees(h.candidate).ok
+
+
+def one_cell_changes(c, symmetric):
+    """Every table that differs from c in one mul cell or one hyperadd cell,
+    with its mirror cell changed alike when symmetric."""
+    n = c.n
+    for x, y in iproduct(range(n), range(n)):
+        if symmetric and y < x:
+            continue
+        cells = {(x, y), (y, x)} if symmetric else {(x, y)}
+        for v in range(n):
+            if v != c.mul[x][y]:
+                yield with_cells(c, mul_cells=[(cell, v) for cell in cells])
+        for m in range(1, 1 << n):
+            if m != c.hyperadd[x][y]:
+                yield with_cells(c, add_cells=[(cell, m) for cell in cells])
+
+
+@pytest.mark.parametrize("symmetric", [False, True], ids=["one-sided", "symmetric"])
+@pytest.mark.parametrize("base", sorted(BASES))
+def test_every_one_cell_change_agrees(base, symmetric):
+    for c in one_cell_changes(BASES[base], symmetric):
+        assert_decision_agrees(c)
+
+
+def one_row_maps(n):
+    """Every mask tuple OneRowMap(n, .) accepts: v(0) = {1}, and exactly one
+    nonzero z has 0 in v(z)."""
+    with_zero = range(1, 1 << n, 2)
+    without = range(2, 1 << n, 2)
+    for zstar in range(1, n):
+        yield from ((2, *rest) for rest in iproduct(
+            *(with_zero if z == zstar else without for z in range(1, n))))
+
+
+def expanded_tables(n, mul):
+    """The hyperaddition expand_one_row(mul, OneRowMap(n, v)) builds, for
+    every v, with the group's scalar tables computed once, not per map."""
+    inv = core.inverses(n, mul)
+    smul = _scalar_tables(n, mul)
+    for masks in one_row_maps(n):
+        yield masks, core._expand(n, mul, inv, smul, masks)
+
+
+def ch5_fails_at(n, hyperadd, x, y, z):
+    """z in x (+) y, and y not in x' (+) z or x not in z (+) y', with the
+    opposites read off the table."""
+    def opp(a):
+        return next(w for w in range(n) if hyperadd[a][w] & 1)
+    return bool(hyperadd[x][y] >> z & 1) and (
+        not hyperadd[opp(x)][z] >> y & 1 or not hyperadd[z][opp(y)] >> x & 1)
+
+
+@pytest.mark.parametrize("n, mul", [
+    pytest.param(n, mul, id=f"order{n}-group{i}")
+    for n in (3, 4, 5) for i, mul in enumerate(abelian_groups(n - 1))])
+def test_every_expanded_one_row_table(n, mul):
+    """On every table expanded from a one-row map over the group: CH5 at
+    x = 1 against the full CH5 (a failure at x = 1 must be a real one, and
+    a pass at x = 1 a pass everywhere); CH1 at x = 1 against the full CH1
+    (at order 5 where CH5 passes, which keeps the scan short); and the
+    whole decision where the six O(n^2) checks pass.  The expansion builds
+    in the scaling identity, so the reductions to x = 1 are theorems here."""
+    count = ch5_failures = decided = 0
+    for masks, hyperadd in expanded_tables(n, mul):
+        count += 1
+        if n < 5:
+            assert expand_one_row(mul, OneRowMap(n, masks)).hyperadd == tuple(map(tuple, hyperadd))
+        hit = core._ch5_scan(n, hyperadd, (1,))
+        if hit is None:
+            assert core.ch5_violation(n, hyperadd, mul) is None, masks
+        else:
+            ch5_failures += 1
+            assert hit[0][0] == 1 and ch5_fails_at(n, hyperadd, *hit[0]), masks
+        if n < 5 or hit is None:
+            ch1 = core.ch1_violation(n, hyperadd, mul) is None
+            assert (core._ch1_scan(n, hyperadd, (1,)) is None) == ch1, masks
+        if core.ch2_violation(n, hyperadd, mul) is None:  # the other five hold by expansion
+            decided += 1
+            assert_decision_agrees(HyperfieldCandidate(n, tuple(map(tuple, hyperadd)), mul))
+    assert count == (n - 1) * 2 ** (n - 1) * (2 ** (n - 1) - 1) ** (n - 2)
+    assert 0 < ch5_failures < count and decided > 0
+
+
+def random_commutative_loop(n, rng):
+    """A random symmetric Latin square on 1..n-1 with identity 1, with an
+    absorbing 0: it passes KR2, HF1 and HF2 but need not be associative.
+    Filled most-constrained cell first, by backtracking."""
+    t = [[0] * n for _ in range(n)]
+    for x in range(1, n):
+        t[1][x] = t[x][1] = x
+    empty = {(x, y) for x in range(2, n) for y in range(x, n)}
+
+    def options(x, y):
+        used = set(t[x]) | set(t[y])
+        return [v for v in range(1, n) if v not in used]
+
+    def fill():
+        if not empty:
+            return True
+        x, y = min(sorted(empty), key=lambda cell: len(options(*cell)))
+        choices = options(x, y)
+        rng.shuffle(choices)
+        empty.remove((x, y))
+        for v in choices:
+            t[x][y] = t[y][x] = v
+            if fill():
+                return True
+        t[x][y] = t[y][x] = 0
+        empty.add((x, y))
+        return False
+
+    assert fill()
+    return tuple(map(tuple, t))
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_lights_test_matches_kr1_on_random_commutative_loops(n):
+    rng = random.Random(n)
+    verdicts = set()
+    for _ in range(150):
+        mul = random_commutative_loop(n, rng)
+        associative = core.kr1_violation(n, None, mul) is None
+        assert core._light_associative(n, mul) == associative, mul
+        verdicts.add(associative)
+    if n in (7, 8):  # both kinds are common from order 7 on
+        assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_lights_test_passes_every_group_table(m):
+    """Including C2^3, whose three greedy generators are the most a group
+    of order 8 has, and relabellings that move the generators."""
+    n = m + 1
+    hyperadd = tuple(tuple(1 << y for y in range(n)) for _ in range(n))
+    for mul in abelian_groups(m):
+        for perm in ((0, 1, *range(2, n)), (0, 1, *range(n - 1, 1, -1))):
+            relabelled = relabel(HyperfieldCandidate(n, hyperadd, mul), perm).mul
+            assert core._light_associative(n, relabelled)
+
+
+@pytest.mark.parametrize("base", ["five", "massouros7", "pair6", "quotient9"])
+def test_scaling_identity_matches_kr3(base):
+    """On every symmetric one-cell change of hyperadd that keeps CH3: the
+    multiplication is still a group with zero, which the identity needs."""
+    c = BASES[base]
+    n = c.n
+    verdicts = set()
+    for changed in one_cell_changes(c, symmetric=True):
+        if changed.mul != c.mul or core.ch3_violation(n, changed.hyperadd, c.mul):
+            continue
+        scales = core._scales_from_one_row(n, changed.hyperadd, c.mul)
+        assert scales == (core.kr3_violation(n, changed.hyperadd, c.mul) is None)
+        verdicts.add(scales)
+    assert core._scales_from_one_row(n, c.hyperadd, c.mul)
+    assert False in verdicts

@@ -1,40 +1,34 @@
 #!/usr/bin/env python3
-"""Build and verify a Krasner hyperfield of every order from 2 up to a bound.
+"""Build and verify a Krasner hyperfield of every order from 2 up to the
+synthesis bound.
 
 The executable form of the existence theorem over the synthesis range: for
-each n = 2..--max-order (default MAX_SYNTH_ORDER) it calls
-hyperfield_of_order(n), which returns only a verified hyperfield, and prints
-one row with n, the construction used and the seconds taken.  Prime-power
-orders use the triple-sum (Massouros) hyperfield of GF(n), every other order
-the pair hyperfield.  Exit status 2 means bad arguments.
+each n = 2..MAX_SYNTH_ORDER it calls hyperfield_of_order(n), which returns
+only a verified hyperfield, and prints one row with n, the construction used
+and the seconds taken.  Prime-power orders use the triple-sum (Massouros)
+hyperfield of GF(n), every other order the pair hyperfield.  The script takes
+no arguments; exit status 2 means it was given some.
 """
 
 import argparse
 import time
 
-from hyperfields import factor_integer, hyperfield_of_order
-from hyperfields.construct import MAX_SYNTH_ORDER
+from hyperfields import hyperfield_of_order
+from hyperfields.construct import MAX_SYNTH_ORDER, construction_of_order
 
 
-def sweep(max_order):
-    """Yield (n, method, hyperfield, seconds) for n = 2..max_order."""
-    for n in range(2, max_order + 1):
-        method = "massouros" if len(factor_integer(n).factors) == 1 else "pair"
+def sweep():
+    """Yield (n, method, hyperfield, seconds) for n = 2..MAX_SYNTH_ORDER."""
+    for n in range(2, MAX_SYNTH_ORDER + 1):
         t0 = time.perf_counter()
         h = hyperfield_of_order(n)
-        yield n, method, h, time.perf_counter() - t0
+        yield n, construction_of_order(n), h, time.perf_counter() - t0
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--max-order", type=int, default=MAX_SYNTH_ORDER, metavar="N",
-                    help=f"last order to build, 2..{MAX_SYNTH_ORDER} (default)")
-    args = ap.parse_args()
-    if not 2 <= args.max_order <= MAX_SYNTH_ORDER:
-        ap.error(f"--max-order must be in 2..{MAX_SYNTH_ORDER}, got {args.max_order}")
-
+    argparse.ArgumentParser(description=__doc__).parse_args()
     print("order  method     seconds")
-    for n, method, _, seconds in sweep(args.max_order):
+    for n, method, _, seconds in sweep():
         print(f"{n:>5}  {method:<9}  {seconds:>7.3f}")
 
 

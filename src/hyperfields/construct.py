@@ -212,6 +212,12 @@ def pair_hyperfield(n: int) -> Hyperfield:
     return _verify_or_raise(c, f"pair hyperfield of order {n}")
 
 
+def construction_of_order(n: int) -> str:
+    """The construction hyperfield_of_order(n) uses, for n >= 2: "massouros"
+    when n is a prime power, "pair" otherwise."""
+    return "massouros" if len(factor_integer(n).factors) == 1 else "pair"
+
+
 def hyperfield_of_order(n: int) -> Hyperfield:
     """A Krasner hyperfield with exactly n elements, for any 2 <= n <= 64.
 
@@ -225,7 +231,7 @@ def hyperfield_of_order(n: int) -> Hyperfield:
         raise DomainError("order must be at least 2")
     if n > MAX_SYNTH_ORDER:
         raise CapacityError(f"order {n} exceeds synthesis bound {MAX_SYNTH_ORDER}")
-    factors = factor_integer(n).factors
-    if len(factors) == 1:
-        return massouros(gf(factors[0].p, factors[0].k))
-    return pair_hyperfield(n)
+    if construction_of_order(n) == "pair":
+        return pair_hyperfield(n)
+    pp = factor_integer(n).factors[0]
+    return massouros(gf(pp.p, pp.k))

@@ -211,10 +211,11 @@ def is_prime_power(n):
 
 class TestExistenceSweep:
     """scripts/existence_sweep.py: a verified hyperfield at every order the
-    synthesis accepts.  No timing is checked."""
+    synthesis accepts.  No timing is checked.  The method is checked against
+    a prime-power test written here, independent of the package's rule."""
 
     def test_every_order_up_to_the_bound(self):
-        rows = list(load_script("existence_sweep").sweep(MAX_SYNTH_ORDER))
+        rows = list(load_script("existence_sweep").sweep())
         assert MAX_SYNTH_ORDER >= 64
         assert [n for n, *_ in rows] == list(range(2, MAX_SYNTH_ORDER + 1))
         for n, method, h, seconds in rows:
@@ -224,10 +225,8 @@ class TestExistenceSweep:
                 pair_row = all(h.hyperadd[1][z] == 2 | 1 << z for z in range(2, n))
                 assert pair_row == (method == "pair"), n
 
-    @pytest.mark.parametrize("argv", [["--max-order", "1"],
-                                      ["--max-order", str(MAX_SYNTH_ORDER + 1)],
-                                      ["--max-order", "six"], ["--orders"]])
-    def test_bad_arguments_exit_2(self, monkeypatch, capsys, argv):
+    @pytest.mark.parametrize("argv", [["--max-order", "6"], ["6"], ["--orders"]])
+    def test_any_argument_exits_2(self, monkeypatch, capsys, argv):
         script = load_script("existence_sweep")
         monkeypatch.setattr(script, "sweep", None)  # never reached
         monkeypatch.setattr(sys, "argv", ["existence_sweep.py", *argv])
@@ -238,13 +237,13 @@ class TestExistenceSweep:
 
     def test_prints_one_row_per_order(self, monkeypatch, capsys):
         script = load_script("existence_sweep")
-        monkeypatch.setattr(sys, "argv", ["existence_sweep.py", "--max-order", "6"])
+        monkeypatch.setattr(sys, "argv", ["existence_sweep.py"])
         script.main()
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].split() == ["order", "method", "seconds"]
         assert [line.split()[:2] for line in lines[1:]] == [
-            ["2", "massouros"], ["3", "massouros"], ["4", "massouros"],
-            ["5", "massouros"], ["6", "pair"]]
+            [str(n), "massouros" if is_prime_power(n) else "pair"]
+            for n in range(2, MAX_SYNTH_ORDER + 1)]
 
 
 class TestOrderArithmetic:

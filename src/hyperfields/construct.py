@@ -9,6 +9,10 @@ never a hyperfield (the axes carry zero divisors), so product() always
 surfaces that verification failure; hyperfield_of_order() consequently
 synthesizes non-prime-power orders from the pair hyperfield instead.
 
+The quotient, triple-sum and pair hyperfields each state their
+multiplication and their row v(z) = 1(+)z, and core.expand_one_row()
+builds the rest of the hyperaddition from v by the scaling identity.
+
 Every construction verifies its result before returning and raises
 ConstructionError otherwise, so a returned value is a guarantee, not a
 claim.
@@ -21,7 +25,10 @@ from dataclasses import dataclass
 from .core import (
     Hyperfield,
     HyperfieldCandidate,
+    OneRowMap,
+    expand_one_row,
     iter_bits,
+    mask_of,
     require_verified,
     span,
     verified,
@@ -94,42 +101,25 @@ def quotient(f: FieldTable, g: SubgroupSpec) -> Hyperfield:
         for elem in coset:
             coset_of[elem] = idx
     n = len(ordered)
-
-    hyperadd = [[0] * n for _ in range(n)]
-    mul = [[0] * n for _ in range(n)]
     reps = [min(c) for c in ordered]
-    for i, a_coset in enumerate(ordered):
-        for j, b_coset in enumerate(ordered):
-            members = 0
-            for a in a_coset:
-                row = f.add[a]
-                for b in b_coset:
-                    members |= 1 << coset_of[row[b]]
-            hyperadd[i][j] = members
-            mul[i][j] = coset_of[f.mul[reps[i]][reps[j]]]
-
-    c = HyperfieldCandidate(n, tuple(map(tuple, hyperadd)), tuple(map(tuple, mul)))
+    mul = [[coset_of[f.mul[a][b]] for b in reps] for a in reps]
+    # v(j) = the cosets that meet G + rG, r = reps[j], with G = ordered[1].
+    # G + rg = g.(G + r) meets the same cosets as G + r, so r alone will do.
+    v = tuple(mask_of(coset_of[f.add[u][r]] for u in ordered[1]) for r in reps)
+    c = expand_one_row(mul, OneRowMap(n, v))
     return _verify_or_raise(c, f"quotient of GF({q}) by subgroup of size {len(g.closure)}")
 
 
 def massouros(f: FieldTable) -> Hyperfield:
     """Triple-sum hyperfield on a field: a(+)b = {a, b, a+b} for nonzero
     non-opposite a, b (including a = b), a(+)0 = {a}, and a(+)a' = the full
-    carrier when a' is the additive inverse of a."""
+    carrier when a' is the additive inverse of a.  Its row is v(0) = {1},
+    v(-1) = the full carrier and v(z) = {1, z, 1+z} otherwise."""
     q = f.q
-    full = (1 << q) - 1
-    neg = [f.neg(a) for a in range(q)]
-    hyperadd = [[0] * q for _ in range(q)]
-    for a in range(q):
-        hyperadd[a][0] = 1 << a
-        hyperadd[0][a] = 1 << a
-    for a in range(1, q):
-        for b in range(1, q):
-            if b == neg[a]:
-                hyperadd[a][b] = full
-            else:
-                hyperadd[a][b] = (1 << a) | (1 << b) | (1 << f.add[a][b])
-    c = HyperfieldCandidate(q, tuple(map(tuple, hyperadd)), f.mul)
+    minus_one = f.neg(1)
+    v = [1 << 1] + [(1 << q) - 1 if z == minus_one else 1 << 1 | 1 << z | 1 << f.add[1][z]
+                    for z in range(1, q)]
+    c = expand_one_row(f.mul, OneRowMap(q, tuple(v)))
     return _verify_or_raise(c, f"triple-sum hyperfield on GF({q})")
 
 
@@ -191,24 +181,15 @@ def product(h1: Hyperfield, h2: Hyperfield) -> Hyperfield:
 def pair_hyperfield(n: int) -> Hyperfield:
     """The hyperfield on {0} u C_{n-1} with x(+)y = {x, y} for distinct
     nonzero x, y and x(+)x = the full carrier (every element is its own
-    opposite).  Exists for every n >= 2 and is the existence witness used
-    for orders where no field-based construction applies."""
+    opposite).  Its row is v(0) = {1}, v(1) = the full carrier and
+    v(z) = {1, z} otherwise.  Exists for every n >= 2 and is the existence
+    witness used for orders where no field-based construction applies."""
     if n < 2:
         raise DomainError("order must be at least 2")
     m = n - 1
-    mul = [[0] * n for _ in range(n)]
-    for x in range(1, n):
-        for y in range(1, n):
-            mul[x][y] = (x - 1 + y - 1) % m + 1
-    full = (1 << n) - 1
-    hyperadd = [[0] * n for _ in range(n)]
-    for x in range(n):
-        hyperadd[0][x] = 1 << x
-        hyperadd[x][0] = 1 << x
-    for x in range(1, n):
-        for y in range(1, n):
-            hyperadd[x][y] = full if x == y else (1 << x) | (1 << y)
-    c = HyperfieldCandidate(n, tuple(map(tuple, hyperadd)), tuple(map(tuple, mul)))
+    mul = [[0] * n] + [[0] + [(x + y) % m + 1 for y in range(m)] for x in range(m)]
+    v = [1 << 1, (1 << n) - 1] + [1 << 1 | 1 << z for z in range(2, n)]
+    c = expand_one_row(mul, OneRowMap(n, tuple(v)))
     return _verify_or_raise(c, f"pair hyperfield of order {n}")
 
 
@@ -219,7 +200,7 @@ def construction_of_order(n: int) -> str:
 
 
 def hyperfield_of_order(n: int) -> Hyperfield:
-    """A Krasner hyperfield with exactly n elements, for any 2 <= n <= 64.
+    """A Krasner hyperfield with exactly n elements, for any 2 <= n <= MAX_SYNTH_ORDER.
 
     Prime-power orders take the triple-sum hyperfield of GF(n).  Other
     orders cannot come from folding factor hyperfields with product() --

@@ -11,6 +11,13 @@ checks the canonical-hypergroup axioms CH1..CH5, the hyperring axioms
 KR1..KR3 and the hyperfield axioms HF1..HF2.  A pass is proved by
 reductions that are theorems (see the comment on the axiom checks), and a
 failure is found by exhaustion with a concrete witness.
+
+The one row.  A hyperfield is fixed by its multiplication and its row
+v(z) = 1 (+) z through the scaling identity x (+) y = x . v(x^-1 y) for
+x != 0.  _expand() is the one place it is coded: expand_one_row() builds
+the constructions' tables from the v they state, the enumeration kernel
+expands each map v it searches, and verify() proves KR3 by checking that
+a table is the expansion of its own row 1.
 """
 
 from __future__ import annotations
@@ -174,10 +181,7 @@ def opposite(c: HyperfieldCandidate, a: int) -> int:
 def inverses(n, mul) -> list[int]:
     """inv[x] is the y in 1..n-1 with x.y = 1; inv[0], and inv[x] when x has
     no inverse, is 0."""
-    inv = [0] * n
-    for x in range(1, n):
-        inv[x] = next((y for y in range(1, n) if mul[x][y] == 1), 0)
-    return inv
+    return [0] + [row.index(1, 1) if 1 in row[1:] else 0 for row in mul[1:n]]
 
 
 def element_orders(n, mul) -> list[int]:
@@ -499,11 +503,15 @@ AXIOM_NAMES = {
 QUADRATIC_AXIOMS = frozenset(("CH2", "CH3", "CH4", "KR2", "HF1", "HF2"))
 
 
-def _expand(n, mul, inv, smul, masks):
-    """The hyperaddition x (+) y = x . v(x^-1 y) of the one row v = masks.
+# --- the one row ------------------------------------------------------
 
-    inv[x] is the inverse of x != 0, and smul[x][m] is the image of each
-    mask m of v under multiplication by x.  Returns fresh lists.
+
+def _expand(n, mul, inv, smul, keys):
+    """The hyperaddition x (+) y = x . v(x^-1 y) of a one row v.
+
+    inv[x] is the inverse of x != 0, and smul[x][keys[z]] is x . v(z).  The
+    kernel keys v(z) by its mask, _row_scalars() by an index.  Returns fresh
+    lists.
     """
     hyperadd = [[0] * n for _ in range(n)]
     row0 = hyperadd[0]
@@ -515,8 +523,58 @@ def _expand(n, mul, inv, smul, masks):
         mi = mul[inv[x]]
         sx = smul[x]
         for y in range(1, n):
-            rx[y] = sx[masks[mi[y]]]
+            rx[y] = sx[keys[mi[y]]]
     return hyperadd
+
+
+def _row_scalars(mul, v):
+    """(smul, keys) for _expand(): keys[z] indexes v(z) among the distinct
+    masks of v, and smul[x][k] is the k-th mask's image under x.  Images are
+    ORed a whole column of mul at a time.  O(n^2) on bounded cells."""
+    cols = [tuple(map((1).__lshift__, col)) for col in zip(*mul)]  # cols[w][x] = {x . w}
+    members = _members((v,))
+    index = {m: k for k, m in enumerate(members)}
+    images = [reduce(_or_rows, map(cols.__getitem__, bits)) for bits in members.values()]
+    return list(zip(*images)), [index[m] for m in v]
+
+
+@dataclass(frozen=True)
+class OneRowMap:
+    """The row v(z) = 1(+)z for every z; v(0) is forced to {1}."""
+
+    n: int
+    masks: tuple[int, ...]
+
+    def __post_init__(self):
+        n = self.n
+        if len(self.masks) != n:
+            raise StructuralError("one-row map must cover the whole carrier")
+        if self.masks[0] != 1 << 1:
+            raise StructuralError("1(+)0 must be {1}")
+        full = 1 << n
+        if any(not 0 < m < full for m in self.masks):
+            raise StructuralError("row value empty or out of range")
+        if sum(self.masks[z] & 1 for z in range(1, n)) != 1:
+            raise StructuralError("exactly one nonzero z may have 0 in v(z)")
+
+
+def expand_one_row(mul_table, nu: OneRowMap) -> HyperfieldCandidate:
+    """Rebuild the full hyperaddition from v via x(+)y = x.v(x^-1 y).
+
+    mul_table is a full n x n multiplication table whose nonzero part is a
+    group with identity 1, such as a field's or one from abelian_groups().
+    The result may still fail verify(): only distributivity-derived
+    structure is built in.  Costs O(n^2) on rows of bounded cell size.
+    """
+    n = nu.n
+    mul = tuple(tuple(row) for row in mul_table)
+    if len(mul) != n or any(len(r) != n for r in mul):
+        raise StructuralError("multiplication table must be n x n")
+    inv = inverses(n, mul)
+    if any(inv[x] == 0 for x in range(1, n)):
+        raise StructuralError("nonzero part of mul_table is not a group")
+    hyperadd = _expand(n, mul, inv, *_row_scalars(mul, nu.masks))
+    return HyperfieldCandidate(n, tuple(map(tuple, hyperadd)), mul)
 
 
 def _light_associative(n, mul) -> bool:
@@ -536,12 +594,9 @@ def _light_associative(n, mul) -> bool:
 
 
 def _scales_from_one_row(n, hyperadd, mul) -> bool:
-    """KR3 by the scaling identity, given a group with zero.  smul[x] maps
-    each mask of v to its image under x."""
-    v = hyperadd[1]
-    members = _members((v,))
-    smul = [None] + [_images(members, [1 << w for w in mul[x]]) for x in range(1, n)]
-    return _expand(n, mul, inverses(n, mul), smul, v) == list(map(list, hyperadd))
+    """KR3 by the scaling identity, given a group with zero."""
+    expanded = _expand(n, mul, inverses(n, mul), *_row_scalars(mul, hyperadd[1]))
+    return expanded == list(map(list, hyperadd))
 
 
 def _passes_reduced(n, hyperadd, mul) -> bool:

@@ -1,4 +1,6 @@
+import hashlib
 import importlib.util
+import json
 import sys
 from itertools import combinations_with_replacement
 from pathlib import Path
@@ -18,12 +20,15 @@ from hyperfields import (
     product,
     product_candidate,
     quotient,
+    render_document,
     subgroup_closure,
+    to_document,
 )
 from hyperfields.construct import MAX_SYNTH_ORDER
 from conftest import all_subgroups
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 
 
 def load_script(name):
@@ -244,6 +249,87 @@ class TestExistenceSweep:
         assert [line.split()[:2] for line in lines[1:]] == [
             [str(n), "massouros" if is_prime_power(n) else "pair"]
             for n in range(2, MAX_SYNTH_ORDER + 1)]
+
+
+def cells(h):
+    """The hyperaddition of h as sets of element indices, read bit by bit."""
+    return [[{w for w in range(h.n) if m >> w & 1} for m in row] for row in h.hyperadd]
+
+
+class TestDefinitions:
+    """Each construction, cell by cell, against its textbook definition
+    written here over the field's own tables.  The constructions build
+    their tables from the row v(z) = 1 (+) z, and verify() proves KR3 by
+    comparing a table with the expansion of that same row, so these tests
+    are what checks the tables against the definitions."""
+
+    @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (7, 1), (3, 2), (2, 5)])
+    def test_massouros(self, p, k):
+        f = gf(p, k)
+        q = f.q
+        want = [[{b} if a == 0 else {a} if b == 0
+                 else set(range(q)) if f.add[a][b] == 0
+                 else {a, b, f.add[a][b]}
+                 for b in range(q)] for a in range(q)]
+        h = massouros(f)
+        assert cells(h) == want
+        assert h.mul == f.mul
+
+    @pytest.mark.parametrize("n", [*range(2, 13), 40])
+    def test_pair(self, n):
+        # Element x >= 1 is g^(x-1) for a generator g of the cyclic group.
+        want = [[{y} if x == 0 else {x} if y == 0
+                 else set(range(n)) if x == y
+                 else {x, y}
+                 for y in range(n)] for x in range(n)]
+        want_mul = [[0 if x == 0 or y == 0 else (x - 1 + y - 1) % (n - 1) + 1
+                     for y in range(n)] for x in range(n)]
+        h = pair_hyperfield(n)
+        assert cells(h) == want
+        assert [list(row) for row in h.mul] == want_mul
+
+    @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (3, 2)])
+    def test_quotient(self, p, k):
+        # Cosets are labelled {0} first, then by their smallest element; cG
+        # lies in aG (+) bG when it meets aG + bG, and aG . bG = abG.
+        f = gf(p, k)
+        for g in all_subgroups(f):
+            cosets = sorted({frozenset(f.mul[a][s] for s in g.closure)
+                             for a in range(1, f.q)} | {frozenset((0,))}, key=min)
+            coset_of = {e: i for i, c in enumerate(cosets) for e in c}
+            want = [[{i for i, c in enumerate(cosets) if c & {f.add[a][b] for a in A for b in B}}
+                     for B in cosets] for A in cosets]
+            want_mul = [[{coset_of[f.mul[a][b]] for a in A for b in B} for B in cosets]
+                        for A in cosets]
+            h = quotient(f, g)
+            assert cells(h) == want
+            assert [[{x} for x in row] for row in h.mul] == want_mul
+
+
+def pinned_recipes():
+    """(name, build) for every document pinned in golden/document_sha256.json:
+    hyperfield_of_order(2..64), and the triple-sum fields and quotients that
+    the construct benchmark asks for."""
+    for n in range(2, 65):
+        yield f"hyperfield_of_order({n})", lambda n=n: hyperfield_of_order(n)
+    for p, k in ((13, 1), (41, 1), (7, 2), (2, 7)):
+        yield f"massouros(gf({p},{k}))", lambda p=p, k=k: massouros(gf(p, k))
+    for p, s in ((29, 4), (37, 2), (181, 4), (127, 2)):
+        def build(p=p, s=s):
+            f = gf(p)
+            return quotient(f, subgroup_closure(f, [x for x in range(1, p) if pow(x, s, p) == 1]))
+        yield f"quotient(gf({p},1), subgroup of order {s})", build
+
+
+class TestDocumentPin:
+    def test_rendered_documents_match_their_digests(self):
+        """Any change to the bytes a construction renders fails here, so a
+        re-baseline of golden/document_sha256.json is a deliberate step."""
+        pinned = json.loads((GOLDEN / "document_sha256.json").read_text(encoding="utf-8"))
+        got = {name: hashlib.sha256(render_document(to_document(build().candidate))
+                                    .encode()).hexdigest()
+               for name, build in pinned_recipes()}
+        assert got == pinned
 
 
 class TestOrderArithmetic:

@@ -16,9 +16,11 @@ from hyperfields import (
     expand_one_row,
     from_field,
     gf,
+    massouros,
+    pair_hyperfield,
     verify,
 )
-from hyperfields import enumeration
+from hyperfields import core, enumeration
 from conftest import FIVE_MUL, SteppingClock, brute_isomorphic, naive_classes, naive_scaffolds
 
 
@@ -106,6 +108,15 @@ class TestExpandOneRow:
         with pytest.raises(StructuralError):
             expand_one_row(((0, 0), (0, 0)), OneRowMap(2, (2, 1)))
 
+    @pytest.mark.parametrize("build", [lambda: pair_hyperfield(128),
+                                       lambda: massouros(gf(2, 7))],
+                             ids=["pair128", "massouros-gf2-7"])
+    def test_order_128_rows_expand_to_their_hyperfields(self, build):
+        # The expansion scales only the masks of v: a table over all 2^n
+        # masks cannot even be allocated at n = 128.
+        c = build().candidate
+        assert expand_one_row(c.mul, OneRowMap(c.n, c.hyperadd[1])) == c
+
 
 class TestEnumerate:
     def test_order_two_finds_field_and_krasner(self):
@@ -168,6 +179,35 @@ class TestEnumerate:
 
 def _must_not_run(*args, **kwargs):
     raise AssertionError("the budget must stop the run before this phase")
+
+
+class TestKernelFilters:
+    def test_order_six_verdicts_at_x1_match_the_full_scans(self, monkeypatch):
+        """The kernel checks CH5 and CH1 at x = 1 only.  On every order-6
+        candidate each verdict must equal that of the scan over every x."""
+        counts = {}
+
+        def counting(name, scan, full):
+            calls = counts[name] = [0, 0]
+
+            def wrapped(n, hyperadd, xs):
+                assert xs == (1,)
+                hit = scan(n, hyperadd, xs)
+                assert (hit is None) == (full(n, hyperadd, None) is None)  # neither reads mul
+                calls[0] += 1
+                calls[1] += hit is not None
+                return hit
+            return wrapped
+
+        for name, full in (("ch5_violation", core.ch5_violation),
+                           ("ch1_violation", core.ch1_violation)):
+            monkeypatch.setattr(enumeration, name,
+                                counting(name, getattr(enumeration, name), full))
+        classes = enumerate_hyperfields(6)
+        (candidates, ch5_rejects), (ch1_calls, ch1_rejects) = (
+            counts["ch5_violation"], counts["ch1_violation"])
+        assert (candidates, ch5_rejects, ch1_calls, ch1_rejects) == (30752, 30638, 114, 71)
+        assert ch1_calls - ch1_rejects == 43 and len(classes) == 16
 
 
 class TestBudget:

@@ -14,10 +14,20 @@ chosen:
   (b) commutativity pins partners: v(z) = z . v(z^-1), so only one row per
       inverse pair {z, z^-1} is free, and rows of self-inverse z must be
       unions of orbits of multiplication by z;
-  (c) on each expanded table, reversibility (CH5) and associativity (CH1)
-      are checked at x = 1 only, with early exit -- the expansion builds in
-      the scaling identity, so a violation at x != 0 scales by x^-1 to one
-      at x = 1 (the reduction verify() uses), and every other axiom already
+  (c) the free rows are assigned depth-first, and reversibility (CH5) at
+      x = 1 is tested between pairs of rows as soon as both are set.  On
+      the expanded table the opposite of x is x.z* for the opposite z* of
+      1, so for y, z != 0 with z in v(y) CH5 at x = 1 asks y in z*(+)z,
+      the bit test z*.y in v(z*.z), and 1 in z(+)y', the bit test z^-1 in
+      v(z^-1.y.z*); y = 0 and z = 0 always pass.  Under (b) the second
+      test is the first one made for the pair (y^-1, y^-1.z) and read
+      through v(b) = b.v(b^-1) at b = z*.y^-1.z, and that pair's rows are
+      set at the same depths as those of y and b^-1, so only the first
+      test is made.  A failure prunes every map below the current row.
+      At each leaf the expanded table is checked for CH5 and associativity
+      (CH1) at x = 1, with early exit -- the expansion builds in the
+      scaling identity, so a violation at x != 0 scales by x^-1 to one at
+      x = 1 (the reduction verify() uses), and every other axiom already
       holds by construction of the expansion.
 
 Survivors are verified in full and deduplicated by iso.fingerprint, a
@@ -33,7 +43,6 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import product as iproduct
 from typing import Optional
 
 from .core import (  # bench/spans.py wraps _expand, ch5_violation and ch1_violation here
@@ -106,7 +115,8 @@ def _orbit_unions(n, mul, z, with_zero):
 
 
 def _slots(n, mul, inv, zstar):
-    """Free row choices, ascending z; rows of z > z^-1 are derived later."""
+    """Free row choices, ascending z; rows of z > z^-1 follow from their
+    partner's."""
     slots = []
     for z in range(1, n):
         if inv[z] == z:
@@ -116,11 +126,29 @@ def _slots(n, mul, inv, zstar):
     return slots
 
 
+def _pair_checks(n, mul, inv, zstar, slots):
+    """CH5 at x = 1 as tests between two rows, listed under the slot depth
+    at which both rows are set: (y, z, w, t) fails when z is in v(y) and t
+    is not in v(w)."""
+    depth = [-1] * n  # row 0 is fixed
+    for d, (z, _) in enumerate(slots):
+        depth[z] = depth[inv[z]] = d
+    checks = [[] for _ in slots]
+    for y in range(1, n):
+        for z in range(1, n):
+            w = mul[zstar][z]  # y in z*(+)z = z*.v(z*.z)
+            checks[max(depth[y], depth[w])].append((y, 1 << z, w, 1 << mul[zstar][y]))
+    return checks
+
+
 def _run_shard(args):
     """Search one shard: a fixed group, opposite-of-1 choice, and first row.
 
-    Returns (scanned, survivors, timed_out); survivors are (hyperadd, mul)
-    table pairs that passed CH5 and CH1 at x = 1.
+    Rows are assigned depth-first in slot order, each slot's choices in
+    turn, so leaves come in the order of the product of the slots.  Returns
+    (scanned, survivors, timed_out): scanned counts the maps decided, a
+    pruned subtree counting every map below it; survivors are (hyperadd,
+    mul) table pairs that passed CH5 and CH1 at x = 1.
     """
     n, mul, zstar, first_idx, deadline = args
     if deadline is not None and time.monotonic() > deadline:
@@ -128,32 +156,45 @@ def _run_shard(args):
     inv = inverses(n, mul)
     smul = _scalar_tables(n, mul)
     slots = _slots(n, mul, inv, zstar)
-    first_z, first_choices = slots[0]
-    rest = slots[1:]
-    derived = [z for z in range(1, n) if inv[z] < z]
+    slots[0] = (slots[0][0], slots[0][1][first_idx:first_idx + 1])
+    checks = _pair_checks(n, mul, inv, zstar, slots)
+    below = [math.prod(len(choices) for _, choices in slots[d + 1:])
+             for d in range(len(slots))]
+    last = len(slots) - 1
 
     masks = [0] * n
     masks[0] = 1 << 1
-    masks[first_z] = first_choices[first_idx]
-
     survivors = []
-    scanned = 0
-    for combo in iproduct(*(choices for _, choices in rest)):
-        scanned += 1
-        if deadline is not None and scanned % _BUDGET_STRIDE == 0:
-            if time.monotonic() > deadline:
-                return scanned, survivors, True
-        for (z, _), m in zip(rest, combo):
+    scanned = nodes = 0
+
+    def walk(d):
+        # True when the deadline passed inside this subtree.
+        nonlocal scanned, nodes
+        z, choices = slots[d]
+        zi = inv[z]
+        scale = smul[zi]
+        for m in choices:
+            nodes += 1
+            if deadline is not None and nodes % _BUDGET_STRIDE == 0:
+                if time.monotonic() > deadline:
+                    return True
             masks[z] = m
-        for z in derived:
-            masks[z] = smul[z][masks[inv[z]]]
-        hyperadd = _expand(n, mul, inv, smul, masks)
-        if ch5_violation(n, hyperadd, (1,)) is not None:
-            continue
-        if ch1_violation(n, hyperadd, (1,)) is not None:
-            continue
-        survivors.append((tuple(map(tuple, hyperadd)), mul))
-    return scanned, survivors, False
+            masks[zi] = scale[m]  # v(z^-1) = z^-1 . v(z); unchanged when z = z^-1
+            if any(masks[y] & zb and not masks[w] & tb for y, zb, w, tb in checks[d]):
+                scanned += below[d]
+            elif d < last:
+                if walk(d + 1):
+                    return True
+            else:
+                scanned += 1
+                hyperadd = _expand(n, mul, inv, smul, masks)
+                if (ch5_violation(n, hyperadd, (1,)) is None
+                        and ch1_violation(n, hyperadd, (1,)) is None):
+                    survivors.append((tuple(map(tuple, hyperadd)), mul))
+        return False
+
+    timed_out = walk(0)
+    return scanned, survivors, timed_out
 
 
 def _shards(n, groups, deadline):
@@ -208,13 +249,13 @@ def enumerate_hyperfields(n: int, options: Optional[SearchOptions] = None) -> li
             results = list(pool.map(_run_shard, shards))
     else:
         results = map(_run_shard, shards)
-    for got, found, late in results:
+    for done, (got, found, late) in enumerate(results, 1):
         scanned += got
         survivors.extend(found)
         timed_out = timed_out or late
         if options.progress_interval and scanned - last_report >= options.progress_interval:
-            print(f"order={n} scanned={scanned} survivors={len(survivors)}",
-                  file=sys.stderr)
+            print(f"order={n} shards={done}/{len(shards)} scanned={scanned} "
+                  f"survivors={len(survivors)}", file=sys.stderr)
             last_report = scanned
         if timed_out:
             break

@@ -227,8 +227,13 @@ class TestEnumerate:
     def test_progress_goes_to_stderr(self, capsys):
         code, out, err = run_cli(capsys, "enumerate", "--order", "3",
                                  "--count-only", "--progress", "1")
-        assert code == 0
-        assert "scanned=" in err
+        assert code == 0 and out.strip() == "5"
+        total = len(enumeration._shards(3, enumeration.abelian_groups(2), None))
+        lines = err.splitlines()
+        assert lines and all(
+            re.fullmatch(rf"order=3 shards=\d+/{total} scanned=\d+ survivors=\d+", line)
+            for line in lines)
+        assert lines[-1].startswith(f"order=3 shards={total}/{total} scanned=10 ")
 
 
 class TestIso:

@@ -1,3 +1,4 @@
+import math
 from itertools import product as iproduct
 
 import pytest
@@ -181,33 +182,82 @@ def _must_not_run(*args, **kwargs):
     raise AssertionError("the budget must stop the run before this phase")
 
 
+def _scaled(mul, x, mask):
+    """The subset x . mask."""
+    image = 0
+    for w in range(len(mul)):
+        if mask >> w & 1:
+            image |= 1 << mul[x][w]
+    return image
+
+
+def flat_shard(shard):
+    """The shard's maps with no pruning: every map of its slots in product
+    order, expanded by core._expand and filtered by the full CH5 and CH1
+    scans over every x.  Returns (scanned, survivors, CH5 rejections, CH1
+    rejections)."""
+    n, mul, zstar, first_idx, _ = shard
+    inv = core.inverses(n, mul)
+    slots = enumeration._slots(n, mul, inv, zstar)
+    choices = [(slots[0][1][first_idx],)] + [c for _, c in slots[1:]]
+    survivors, ch5_rejects, ch1_rejects = [], 0, 0
+    for combo in iproduct(*choices):
+        v = [1 << 1] + [0] * (n - 1)
+        for (z, _), m in zip(slots, combo):
+            v[z] = m
+            v[inv[z]] = _scaled(mul, inv[z], m)
+        smul, keys = core._row_scalars(mul, v)
+        hyperadd = core._expand(n, mul, inv, smul, keys)
+        if core.ch5_violation(n, hyperadd, mul) is not None:
+            ch5_rejects += 1
+        elif core.ch1_violation(n, hyperadd, mul) is not None:
+            ch1_rejects += 1
+        else:
+            survivors.append((tuple(map(tuple, hyperadd)), mul))
+    return math.prod(map(len, choices)), survivors, ch5_rejects, ch1_rejects
+
+
+@pytest.fixture(scope="module")
+def flat():
+    """Order -> [(shard, flat_shard(shard))] for every shard at orders 3-6."""
+    return {n: [(shard, flat_shard(shard))
+                for shard in enumeration._shards(n, abelian_groups(n - 1), None)]
+            for n in range(3, 7)}
+
+
 class TestKernelFilters:
-    def test_order_six_verdicts_at_x1_match_the_full_scans(self, monkeypatch):
-        """The kernel checks CH5 and CH1 at x = 1 only.  On every order-6
-        candidate each verdict must equal that of the scan over every x."""
-        counts = {}
+    """The kernel prunes on CH5 at x = 1 between pairs of rows and filters
+    its leaves at x = 1; the flat oracle applies no prune and scans every x."""
 
-        def counting(name, scan, full):
-            calls = counts[name] = [0, 0]
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_run_shard_equals_the_flat_oracle(self, flat, n):
+        for shard, (scanned, survivors, _, _) in flat[n]:
+            assert enumeration._run_shard(shard) == (scanned, survivors, False)
 
-            def wrapped(n, hyperadd, xs):
-                assert xs == (1,)
-                hit = scan(n, hyperadd, xs)
-                assert (hit is None) == (full(n, hyperadd, None) is None)  # neither reads mul
-                calls[0] += 1
-                calls[1] += hit is not None
-                return hit
-            return wrapped
+    def test_flat_oracle_counts_at_order_six(self, flat):
+        scanned, survivors, ch5_rejects, ch1_rejects = map(sum, zip(*(
+            (s, len(found), r5, r1) for _, (s, found, r5, r1) in flat[6])))
+        # maps, CH5 rejections, maps reaching CH1, CH1 rejections, survivors
+        assert (scanned, ch5_rejects, scanned - ch5_rejects, ch1_rejects, survivors) == (
+            30752, 30638, 114, 71, 43)
 
-        for name, full in (("ch5_violation", core.ch5_violation),
-                           ("ch1_violation", core.ch1_violation)):
-            monkeypatch.setattr(enumeration, name,
-                                counting(name, getattr(enumeration, name), full))
-        classes = enumerate_hyperfields(6)
-        (candidates, ch5_rejects), (ch1_calls, ch1_rejects) = (
-            counts["ch5_violation"], counts["ch1_violation"])
-        assert (candidates, ch5_rejects, ch1_calls, ch1_rejects) == (30752, 30638, 114, 71)
-        assert ch1_calls - ch1_rejects == 43 and len(classes) == 16
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_pair_prune_leaves_no_ch5_failure(self, flat, monkeypatch, n):
+        """Every map that reaches a leaf passes CH5: the prune is complete."""
+        leaves = [0, 0]
+        scan = enumeration.ch5_violation
+
+        def counting(size, hyperadd, xs):
+            hit = scan(size, hyperadd, xs)
+            leaves[0] += 1
+            leaves[1] += hit is not None
+            return hit
+
+        monkeypatch.setattr(enumeration, "ch5_violation", counting)
+        for shard, _ in flat[n]:
+            enumeration._run_shard(shard)
+        passing = sum(s - r5 for _, (s, _, r5, _) in flat[n])
+        assert leaves == [passing, 0]
 
 
 class TestBudget:
@@ -240,6 +290,22 @@ class TestBudget:
         with pytest.raises(BudgetExceededError) as err:
             enumerate_hyperfields(5, SearchOptions(budget_seconds=10.0))
         assert (err.value.scanned, err.value.survivors) == (3672, 48)
+
+    def test_deadline_inside_a_shard_walk(self, clock, monkeypatch):
+        # Every node polls the clock, which moves on 1 s per reading, so
+        # the deadline passes at the fourth node of the first shard.
+        monkeypatch.setattr(enumeration, "_BUDGET_STRIDE", 1)
+        clock.step = 1.0
+        n, mul, zstar, first_idx, _ = enumeration._shards(6, abelian_groups(5), None)[0]
+        full = math.prod(len(c) for _, c in enumeration._slots(
+            n, mul, core.inverses(n, mul), zstar)[1:])
+        scanned, _, timed_out = enumeration._run_shard((n, mul, zstar, first_idx, 4.5))
+        assert timed_out and 0 < scanned < full
+
+        clock.now = 0.0  # one worker: the shards run in this process
+        with pytest.raises(BudgetExceededError) as err:
+            enumerate_hyperfields(6, SearchOptions(budget_seconds=4.5))
+        assert err.value.scanned == scanned
 
     def test_checked_before_dedup(self, clock, monkeypatch):
         verify_survivor = enumeration.verified

@@ -10,7 +10,8 @@ zero (index 0) and one (index 1) earn their roles through verify(), which
 checks the canonical-hypergroup axioms CH1..CH5, the hyperring axioms
 KR1..KR3 and the hyperfield axioms HF1..HF2.  A pass is proved by
 reductions that are theorems (see the comment on the axiom checks), and a
-failure is found by exhaustion with a concrete witness.
+failure is found with the witness an exhaustive scan would give, by
+deciders that scan only what three more theorems leave open.
 
 The one row.  A hyperfield is fixed by its multiplication and its row
 v(z) = 1 (+) z through the scaling identity x (+) y = x . v(x^-1 y) for
@@ -282,15 +283,18 @@ def group_isomorphisms(n, mul1, mul2) -> Iterator[tuple[int, ...]]:
 # failed axiom (full report, not fail-fast); the enumeration kernel reuses
 # the two checks its expansion cannot guarantee.
 #
-# CH1 and KR3 are the O(n^3) costs.  They scan a whole row over z at a time:
-# for fixed x and y each side becomes a sequence over z, built by C-level
-# map() and compared with one ==; only a mismatching pair of rows is walked
-# to find its first z.  A table has few distinct masks, and the image of a
-# mask under "x (+) -", "x . -" or "- . x" is the union of the images of its
-# members, so for each x every mask's image is computed once into a dict
-# that is dropped before the next x.  For CH1, the row (x (+) y) (+) z over
-# z depends only on the mask x (+) y, so it is built once per distinct mask
-# as the OR of the rows of its members.  Cells must be nonempty, which
+# CH1, CH5, KR1 and KR3 range over n^3 triples.  Each is an exact decider:
+# it returns what a scan of every triple in lexicographic order would, but
+# skips the work that a theorem makes redundant (the failure path below).
+# What is left is scanned a whole row over z at a time: for fixed x and y
+# each side becomes a sequence over z, built by C-level map() and compared
+# with one ==; only a mismatching pair of rows is walked to find its first
+# z.  A table has few distinct masks, and the image of a mask under
+# "x (+) -", "x . -" or "- . x" is the union of the images of its members,
+# so for each x every mask's image is computed once into a dict that is
+# dropped before the next x.  For CH1, the row (x (+) y) (+) z over z
+# depends only on the mask x (+) y, so it is built once per distinct mask as
+# the OR of the rows of its members.  Cells must be nonempty, which
 # validate_candidate() and the enumeration kernel's expansion guarantee.
 #
 # A table that passes the six O(n^2) checks (CH2, CH3, CH4, KR2, HF1, HF2)
@@ -322,8 +326,43 @@ def group_isomorphisms(n, mul1, mul2) -> Iterator[tuple[int, ...]]:
 # sum: O(n^2) on tables with cells of bounded size, such as the triple-sum
 # and pair hyperfields.
 #
-# A table the reductions do not prove goes through every exhaustive check,
-# so every failure keeps its lexicographically first witness and reason.
+# A table the reductions do not prove goes through the four deciders of
+# AXIOM_CHECKS, which find each witness by three more theorems; none needs
+# the table to pass anything:
+#
+#   KR1: where 1 is a two-sided identity and 0 two-sided absorbing (O(n) to
+#     check), those two lie in Light's set, so Light's test proves the
+#     axiom when it passes.  Otherwise each (x, y) compares the row
+#     (x.y).z over z with x.(y.z) over z, C-level, and walks z only on a
+#     mismatch.
+#   KR3: if g and c satisfy both distributive laws, so does any x whose row
+#     is g.(c.w) over w and whose column is (w.g).c over w: apply the laws
+#     of c and then those of g.  The x are taken in ascending order; an x
+#     that no pair (g, c) has certified this way, with g scanned and passed
+#     and c certified, is scanned, and the first x that fails its scan is
+#     the first x that fails at all.  Each pair is tried once, at O(n).
+#   CH1 and CH5: a left multiplication s: w -> x.w that is a bijection,
+#     fixes 0 and distributes is an automorphism of (H, (+)), and it maps a
+#     violation at (x, y, z) to one at (s x, s y, s z) with the same reason
+#     (it maps opposites to opposites, as it fixes 0).  So the x with a
+#     violation are a union of orbits of the group such maps generate, and
+#     the first of them leads its orbit: only 0 and the least element of
+#     each orbit are scanned.  Generators are taken greedily from the x
+#     that still lead their orbits, and the search stops at the first
+#     bijection fixing 0 that does not distribute; with none found every x
+#     is scanned.
+#
+# Cost on the failure path, for a table whose nonzero part is a group up to
+# one corrupted cell.  A multiplication corruption leaves the automorphisms
+# of the intact rows, so CH1 and CH5 scan 0 and the few leaders of the
+# group those generate, and KR3 scans 0, 1, the greedy generators and the
+# x below its witness that no pair reaches.  Each scan costs as much as one
+# x of the exhaustive scan, O(n^2) on bounded cells, and so does each
+# generator test; with O(log n) of them these failures cost O(n^2 log n).
+# A hyperaddition corruption breaks the automorphisms (the cell-size test
+# usually shows it at once), so CH1 and CH5 still scan every x up to their
+# witness, O(n^3) when it sits near row n; KR1 is proved by Light's test,
+# and KR3 fails at its first x that does not distribute.
 
 
 def _members(hyperadd):
@@ -339,6 +378,59 @@ def _images(members, parts):
 
 def _or_rows(a, b):
     return tuple(map(or_, a, b))
+
+
+def _distribution_rows(n, hyperadd, members, s):
+    """For each y, the rows over z of s(y (+) z) and of s(y) (+) s(z), where
+    s lists the values of a map of the carrier: s distributes over (+)
+    exactly where the two agree."""
+    scale = _images(members, [1 << v for v in s]).__getitem__
+    for y in range(n):
+        yield list(map(scale, hyperadd[y])), list(map(hyperadd[s[y]].__getitem__, s))
+
+
+def _leaders(n, perms):
+    """The least element of each orbit of the group the permutations
+    generate, ascending.  In a finite group the orbits are those of the
+    forward walk along the permutations."""
+    leaders = []
+    seen = [False] * n
+    for x in range(n):
+        if not seen[x]:
+            leaders.append(x)
+            seen[x] = True
+            walk = [x]
+            for a in walk:  # walk grows while it is walked
+                for p in perms:
+                    b = p[a]
+                    if not seen[b]:
+                        seen[b] = True
+                        walk.append(b)
+    return leaders
+
+
+def _orbit_leaders(n, hyperadd, mul):
+    """The x that the CH1 and CH5 scans must visit: the least element of
+    each orbit under the automorphisms of (+) found among the left
+    multiplications.  Each x in 2..n-1 that leads its orbit so far is a
+    generator when its row is a bijection fixing 0 that distributes over
+    (+); the search stops at the first such bijection that does not."""
+    sizes = [list(map(int.bit_count, row)) for row in hyperadd]
+    members = None
+    perms = []
+    leaders = list(range(n))
+    for x in range(2, n):
+        row = mul[x]
+        if x not in leaders or row[0] != 0 or len(set(row)) != n:
+            continue
+        if any(list(map(sizes[row[y]].__getitem__, row)) != sizes[y] for y in range(n)):
+            break  # an automorphism keeps the size of every cell
+        members = members or _members(hyperadd)
+        if any(got != want for got, want in _distribution_rows(n, hyperadd, members, row)):
+            break
+        perms.append(row)
+        leaders = _leaders(n, perms)
+    return leaders
 
 
 def _ch1_scan(n, hyperadd, xs):
@@ -361,7 +453,7 @@ def _ch1_scan(n, hyperadd, xs):
 
 
 def ch1_violation(n, hyperadd, mul):
-    return _ch1_scan(n, hyperadd, range(n))
+    return _ch1_scan(n, hyperadd, _orbit_leaders(n, hyperadd, mul))
 
 
 def ch2_violation(n, hyperadd, mul):
@@ -408,16 +500,22 @@ def _ch5_scan(n, hyperadd, xs):
 
 
 def ch5_violation(n, hyperadd, mul):
-    return _ch5_scan(n, hyperadd, range(n))
+    return _ch5_scan(n, hyperadd, _orbit_leaders(n, hyperadd, mul))
 
 
 def kr1_violation(n, hyperadd, mul):
+    mul = tuple(map(tuple, mul))  # rows compare as tuples below and in Light's test
+    if _identity_and_zero(n, mul) and _light_associative(n, mul):
+        return None
     for x in range(n):
+        mx = mul[x]
         for y in range(n):
-            mxy = mul[x][y]
-            for z in range(n):
-                if mul[mxy][z] != mul[x][mul[y][z]]:
-                    return (x, y, z), "regrouped products differ"
+            left = mul[mx[y]]  # (x.y).z over z
+            right = tuple(map(mx.__getitem__, mul[y]))  # x.(y.z) over z
+            if left != right:
+                for z in range(n):
+                    if left[z] != right[z]:
+                        return (x, y, z), "regrouped products differ"
     return None
 
 
@@ -428,25 +526,43 @@ def kr2_violation(n, hyperadd, mul):
     return None
 
 
+def _kr3_scan(n, hyperadd, members, row, col, x):
+    """The first KR3 violation at x, given row x and column x of mul."""
+    rows = zip(_distribution_rows(n, hyperadd, members, row),
+               _distribution_rows(n, hyperadd, members, col))
+    for y, ((left, left_want), (right, right_want)) in enumerate(rows):
+        if left != left_want or right != right_want:
+            for z in range(n):
+                if left[z] != left_want[z]:
+                    return (x, y, z), "left distributivity fails"
+                if right[z] != right_want[z]:
+                    return (x, y, z), "right distributivity fails"
+    return None
+
+
 def kr3_violation(n, hyperadd, mul):
     members = _members(hyperadd)
+    rows, cols = tuple(map(tuple, mul)), tuple(zip(*mul))
+    certified = [False] * n
+    scanned = []  # the x certified by _kr3_scan
     for x in range(n):
-        mx = mul[x]
-        col = [row[x] for row in mul]
-        scale_left = _images(members, [1 << v for v in mx]).__getitem__  # mask m -> x . m
-        scale_right = _images(members, [1 << v for v in col]).__getitem__  # mask m -> m . x
-        for y in range(n):
-            hy = hyperadd[y]
-            left = list(map(scale_left, hy))
-            left_want = list(map(hyperadd[mx[y]].__getitem__, mx))
-            right = list(map(scale_right, hy))
-            right_want = list(map(hyperadd[col[y]].__getitem__, col))
-            if left != left_want or right != right_want:
-                for z in range(n):
-                    if left[z] != left_want[z]:
-                        return (x, y, z), "left distributivity fails"
-                    if right[z] != right_want[z]:
-                        return (x, y, z), "right distributivity fails"
+        if certified[x]:
+            continue
+        hit = _kr3_scan(n, hyperadd, members, rows[x], cols[x], x)
+        if hit is not None:
+            return hit
+        pairs = [(x, c) for c in range(n) if certified[c]]
+        certified[x] = True
+        scanned.append(x)
+        pairs += [(g, x) for g in scanned]
+        while pairs:  # each (g, c) is tried once
+            g, c = pairs.pop()
+            gc = rows[g][c]
+            if (not certified[gc]
+                    and rows[gc] == tuple(map(rows[g].__getitem__, rows[c]))
+                    and cols[gc] == tuple(map(cols[c].__getitem__, cols[g]))):
+                certified[gc] = True
+                pairs += [(h, gc) for h in scanned]
     return None
 
 
@@ -577,6 +693,12 @@ def expand_one_row(mul_table, nu: OneRowMap) -> HyperfieldCandidate:
     return HyperfieldCandidate(n, tuple(map(tuple, hyperadd)), mul)
 
 
+def _identity_and_zero(n, mul) -> bool:
+    """1 is a two-sided identity and 0 is two-sided absorbing: Light's test
+    needs both."""
+    return all(mul[1][x] == x == mul[x][1] and mul[0][x] == 0 == mul[x][0] for x in range(n))
+
+
 def _light_associative(n, mul) -> bool:
     """KR1 by Light's test on the greedy generators; mul has tuple rows.
     More generators than a group of order n-1 can have means no group."""
@@ -641,11 +763,16 @@ class AxiomReport:
 def verify(c: HyperfieldCandidate) -> AxiomReport:
     """Check all ten hyperfield axioms; never fail-fast.
 
-    A pass is proved by the reductions, and a failure by exhaustion with
-    witnesses: the O(n^2) checks run first, and when they all pass,
-    _passes_reduced() decides the other four in O(n^2 log n) on tables with
-    cells of bounded size.  Whatever it does not prove runs through the
-    exhaustive checks of AXIOM_CHECKS, whose cost grows as n^3.
+    A pass is proved by the reductions, and a failure is shown by the
+    lexicographically first witness of each failed axiom: the O(n^2) checks
+    run first, and when they all pass, _passes_reduced() decides the other
+    four in O(n^2 log n) on tables with cells of bounded size.  Whatever it
+    does not prove runs through the deciders of AXIOM_CHECKS: Light's test
+    for KR1, certification by composed multiplications for KR3, and one x
+    per automorphism orbit for CH1 and CH5.  A table whose multiplication
+    is one cell off a group's costs them O(n^2 log n) on bounded cells; one
+    whose hyperaddition breaks the automorphisms leaves CH1 and CH5 to scan
+    every x up to their witness, O(n^3).
     """
     validate_candidate(c)
     n, hyperadd, mul = c.n, c.hyperadd, c.mul

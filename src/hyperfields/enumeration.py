@@ -43,6 +43,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .core import (  # bench/spans.py wraps _expand, ch5_violation and ch1_violation here
@@ -78,9 +79,12 @@ def abelian_groups(m: int) -> list[tuple[tuple[int, ...], ...]]:
     return list(abelian_group_tables(m))
 
 
+@lru_cache(maxsize=1)
 def _scalar_tables(n, mul):
     # smul[x][mask] = image of the subset `mask` under multiplication by x,
-    # for all 2^n masks: built once per shard, it serves every row choice.
+    # for all 2^n masks.  It serves every row choice of every shard of the
+    # group; shards come group by group, so one entry builds it once per
+    # group in each process.  Read only: every caller shares the result.
     smul = [None] * n
     for x in range(1, n):
         row = mul[x]
@@ -88,8 +92,8 @@ def _scalar_tables(n, mul):
         for m in range(1, 1 << n):
             low = m & -m
             arr[m] = arr[m ^ low] | (1 << row[low.bit_length() - 1])
-        smul[x] = arr
-    return smul
+        smul[x] = tuple(arr)
+    return tuple(smul)
 
 
 def _orbit_unions(n, mul, z, with_zero):

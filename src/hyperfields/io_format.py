@@ -24,6 +24,8 @@ from __future__ import annotations
 import json
 import string
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Optional
 
 from .core import Hyperfield, HyperfieldCandidate, iter_bits, mask_of
@@ -174,6 +176,8 @@ def parse_document(text) -> HyperfieldDocument:
     if len(mul) != n or any(len(r) != n for r in mul):
         raise ValidationError(f"mul must be {n}x{n}", code="dimensions")
     for i, row in enumerate(mul):
+        if set(map(type, row)) == {int} and 0 <= min(row) and max(row) < n:
+            continue  # a valid row; only a row that fails is walked for its first error
         for j, v in enumerate(row):
             _want_int(v, f"mul[{i}][{j}]")
             if not 0 <= v < n:
@@ -186,6 +190,11 @@ def parse_document(text) -> HyperfieldDocument:
     if len(hyperadd) != n or any(len(r) != n for r in hyperadd):
         raise ValidationError(f"hyperadd must be {n}x{n}", code="dimensions")
     for i, row in enumerate(hyperadd):
+        if (set(map(type, row)) == {list} and all(row)
+                and set(map(type, chain.from_iterable(row))) == {int}
+                and list(map(sorted, map(set, row))) == row
+                and 0 <= min(map(itemgetter(0), row)) and max(map(itemgetter(-1), row)) < n):
+            continue  # as for mul, with each cell nonempty and strictly ascending
         for j, cell in enumerate(row):
             if not isinstance(cell, list):
                 raise ParseError(f"hyperadd cell at ({i},{j}) must be an array")
@@ -215,8 +224,8 @@ def parse_document(text) -> HyperfieldDocument:
 
     return HyperfieldDocument(
         version, n,
-        tuple(tuple(r) for r in mul),
-        tuple(tuple(tuple(cell) for cell in r) for r in hyperadd),
+        tuple(map(tuple, mul)),
+        tuple(tuple(map(tuple, r)) for r in hyperadd),
         labels, metadata)
 
 

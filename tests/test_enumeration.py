@@ -208,9 +208,9 @@ def flat_shard(shard):
             v[inv[z]] = _scaled(mul, inv[z], m)
         smul, keys = core._row_scalars(mul, v)
         hyperadd = core._expand(n, mul, inv, smul, keys)
-        if core.ch5_violation(n, hyperadd, mul) is not None:
+        if core._ch5_scan(n, hyperadd, range(n)) is not None:
             ch5_rejects += 1
-        elif core.ch1_violation(n, hyperadd, mul) is not None:
+        elif core._ch1_scan(n, hyperadd, range(n)) is not None:
             ch1_rejects += 1
         else:
             survivors.append((tuple(map(tuple, hyperadd)), mul))

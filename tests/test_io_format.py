@@ -1,8 +1,10 @@
+import json
 from pathlib import Path
 
 import pytest
 
 from hyperfields import (
+    DocumentError,
     DomainError,
     ParseError,
     ValidationError,
@@ -153,6 +155,25 @@ class TestParserRejections:
         with pytest.raises(ValidationError) as err:
             parse_document(text)
         assert err.value.code == "identity-misplaced"
+
+    @pytest.mark.parametrize("table, first, second, want", [
+        ("mul", ((2, 3), 7), ((4, 1), True), ("index-range", "mul entry 7 at (2,3) out of range")),
+        ("mul", ((2, 3), 1.5), ((4, 1), -1), ("malformed", "mul[2][3] must be an integer")),
+        ("hyperadd", ((1, 2), [2, 1]), ((3, 0), []),
+         ("cell-order", "cell at (1,2) must be strictly ascending")),
+        ("hyperadd", ((2, 4), [0, 9]), ((3, 1), [1, 1]),
+         ("index-range", "hyperadd entry 9 at (2,4) out of range")),
+        ("hyperadd", ((2, 1), []), ((4, 3), "x"), ("empty-cell", "empty cell at (2,1)")),
+        ("hyperadd", ((1, 3), [0, False]), ((2, 2), [5]),
+         ("malformed", "hyperadd[1][3] must be an integer")),
+    ])
+    def test_earlier_of_two_errors_in_different_rows_is_reported(self, table, first, second, want):
+        raw = json.loads(valid_raw())
+        for (i, j), value in (first, second):
+            raw[table][i][j] = value
+        with pytest.raises(DocumentError) as err:
+            parse_document(json.dumps(raw))
+        assert (err.value.code, str(err.value)) == want
 
     def test_label_count_mismatch(self):
         text = valid_raw().replace('  "order": 5,', '  "order": 5,\n  "labels": ["0", "1"],')

@@ -1,18 +1,21 @@
-"""Slow oracles for the verifier: its two row-scanning checks, CH1 and KR3,
-and the reductions that decide a passing table.
+"""Slow oracles for the verifier: its four cubic axioms, CH1, CH5, KR1 and
+KR3, and the reductions that decide a passing table.
 
-The package scans CH1 and KR3 a whole row over z at a time through per-x
-memo tables.  The oracles below are the axiom definitions written as
-literal triple loops over plain Python sets: no caches, no bitmask helpers
-and nothing imported from the package's core.  Both must name the same
-lexicographically first witness and the same reason, or both must pass.
+The package decides the four axioms by theorems that skip most of the
+work: Light's test for KR1, composition of certified multiplications for
+KR3, and one x per automorphism orbit for CH1 and CH5; what is left is
+scanned a whole row over z at a time through per-x memo tables.  The
+oracles below are the axiom definitions written as literal triple loops
+over plain Python sets: no caches, no bitmask helpers and nothing imported
+from the package's core.  Both must name the same lexicographically first
+witness and the same reason, or both must pass.
 
-verify() proves a pass by reductions to x = 1 and to Light's test, and only
-falls back to the exhaustive checks when they prove nothing.  Every input
-here also checks that the reduced decision equals the exhaustive verdict
-and that verify() returns exactly the exhaustive report.  Each reduction is
-also checked on its own against the exhaustive check it replaces, because
-the whole decision can hide a wrong step behind another axiom's failure.
+verify() proves a pass by reductions to x = 1 and to Light's test.  Every
+input here also checks that the reduced decision equals the oracles'
+verdict and that verify() returns exactly the report of the oracles and
+the six O(n^2) checks.  Each reduction is also checked on its own against
+the oracle of the axiom it replaces, because the whole decision can hide a
+wrong step behind another axiom's failure.
 """
 
 from __future__ import annotations
@@ -34,8 +37,10 @@ from hyperfields import (
     gf,
     massouros,
     pair_hyperfield,
+    product_candidate,
     quotient,
     relabel,
+    verified,
     verify,
 )
 from hyperfields import core
@@ -63,6 +68,38 @@ def ch1_oracle(n, hyperadd, mul):
     return None
 
 
+def ch5_oracle(n, hyperadd, mul):
+    """z in x (+) y gives y in x' (+) z and x in z (+) y', where w' is the
+    one element with 0 in w (+) w'."""
+    opposites = []
+    for w in range(n):
+        found = [v for v in range(n) if 0 in members(n, hyperadd[w][v])]
+        opposites.append(found[0] if len(found) == 1 else None)
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if z not in members(n, hyperadd[x][y]):
+                    continue
+                xo, yo = opposites[x], opposites[y]
+                if xo is None or yo is None:
+                    return (x, y, z), "opposite undefined"
+                if y not in members(n, hyperadd[xo][z]):
+                    return (x, y, z), "y not in x'(+)z"
+                if x not in members(n, hyperadd[z][yo]):
+                    return (x, y, z), "x not in z(+)y'"
+    return None
+
+
+def kr1_oracle(n, hyperadd, mul):
+    """(x.y).z == x.(y.z) for every x, y, z."""
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if mul[mul[x][y]][z] != mul[x][mul[y][z]]:
+                    return (x, y, z), "regrouped products differ"
+    return None
+
+
 def kr3_oracle(n, hyperadd, mul):
     """x.(y (+) z) == x.y (+) x.z and (y (+) z).x == y.x (+) z.x, left first."""
     for x in range(n):
@@ -76,14 +113,14 @@ def kr3_oracle(n, hyperadd, mul):
     return None
 
 
-ORACLES = (("CH1", ch1_oracle), ("KR3", kr3_oracle))
+ORACLES = {"CH1": ch1_oracle, "CH5": ch5_oracle, "KR1": kr1_oracle, "KR3": kr3_oracle}
 
 
 def exhaustive_report(c):
-    """The report of every exhaustive check, with no reduction."""
+    """The report of the six O(n^2) checks and the four oracles."""
     results = []
     for axiom, check in core.AXIOM_CHECKS:
-        hit = check(c.n, c.hyperadd, c.mul)
+        hit = ORACLES.get(axiom, check)(c.n, c.hyperadd, c.mul)
         results.append(AxiomResult(axiom, True) if hit is None
                        else AxiomResult(axiom, False, *hit))
     return AxiomReport(tuple(results))
@@ -94,27 +131,15 @@ def quadratic_checks_pass(n, hyperadd, mul):
                if axiom in core.QUADRATIC_AXIOMS)
 
 
-def assert_reduction_agrees(c):
-    """The reduced decision is the exhaustive verdict, and verify() gives
-    exactly the exhaustive report."""
+def assert_matches_oracles(c):
+    """verify() gives exactly the oracles' report, and the reduced decision
+    is their verdict."""
     want = exhaustive_report(c)
     reduced = (quadratic_checks_pass(c.n, c.hyperadd, c.mul)
                and core._passes_reduced(c.n, c.hyperadd, c.mul))
     assert reduced == want.ok
     assert verify(c) == want
     return want
-
-
-def assert_matches_oracles(c):
-    report = assert_reduction_agrees(c)
-    for axiom, oracle in ORACLES:
-        got = report[axiom]
-        want = oracle(c.n, c.hyperadd, c.mul)
-        if want is None:
-            assert got.passed, (axiom, got)
-        else:
-            assert (got.witness, got.reason) == want, axiom
-    return report
 
 
 def constructions_up_to_16():
@@ -163,6 +188,64 @@ def test_every_one_sided_product_change_at_order_five():
     assert reasons >= {"left distributivity fails", "right distributivity fails"}
 
 
+# --- the deciders on failing tables ------------------------------------------
+
+
+def failing_variants(c, rng):
+    """Tables that fail near c, each a case for the deciders: c relabelled
+    with 0 and 1 kept in place; c and that relabelling each with one
+    hyperadd cell given or robbed of one element, and with one mul cell
+    rewritten, both without the mirror cell; c with one product by 0 made
+    nonzero, which Light's test cannot see; and c with 0 put into every
+    0 (+) z and z (+) 0, which every left multiplication carries along, so
+    the automorphisms stay and CH5 fails at x = 0 first."""
+    n = c.n
+    rest = list(range(2, n))
+    rng.shuffle(rest)
+    moved = relabel(c, (0, 1, *rest))
+    yield moved
+    for t in (c, moved):
+        x, y, w = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        cell = t.hyperadd[x][y]
+        yield with_cells(t, add_cells=[((x, y), cell ^ 1 << w or cell | 1 << (w + 1) % n)])
+        x, y = rng.randrange(n), rng.randrange(n)
+        yield with_cells(t, mul_cells=[((x, y), (t.mul[x][y] + rng.randrange(1, n)) % n)])
+    yield with_cells(c, mul_cells=[((0, rng.randrange(1, n)), rng.randrange(1, n))])
+    yield with_cells(c, add_cells=[cell for z in range(1, n)
+                                   for cell in (((0, z), 1 | 1 << z), ((z, 0), 1 | 1 << z))])
+
+
+@pytest.mark.parametrize("h", constructions_up_to_16())
+def test_failing_variants_of_constructions_agree_with_the_oracles(h, request):
+    rng = random.Random(request.node.callspec.id)
+    for c in failing_variants(h.candidate, rng):
+        assert_matches_oracles(c)
+
+
+SMALL = {
+    "massouros2": massouros(gf(2)),
+    "pair3": pair_hyperfield(3),
+    "massouros3": massouros(gf(3)),
+    "pair4": pair_hyperfield(4),
+    "massouros4": massouros(gf(2, 2)),
+    "five": verified(five_element_candidate()),
+}
+
+
+@pytest.mark.parametrize("first, second", [
+    (a, b) for a, b in iproduct(SMALL, SMALL)
+    if a <= b and SMALL[a].n * SMALL[b].n <= 16])
+def test_products_agree_with_the_oracles(first, second):
+    """Componentwise products have zero divisors, so none is a hyperfield;
+    their left multiplications by pairs of nonzero elements are still
+    automorphisms of (+)."""
+    c = product_candidate(SMALL[first], SMALL[second])
+    assert not assert_matches_oracles(c).ok
+    rest = list(range(2, c.n))
+    random.Random(c.n).shuffle(rest)
+    assert_matches_oracles(relabel(c, (0, 1, *rest)))
+
+
 BASES = {
     "five": five_element_candidate(),
     "massouros7": massouros(gf(7)).candidate,
@@ -200,13 +283,13 @@ def assert_decision_agrees(c):
     calls them."""
     n, hyperadd, mul = c.n, c.hyperadd, c.mul
     if quadratic_checks_pass(n, hyperadd, mul):
-        exhaustive = all(check(n, hyperadd, mul) is None for _, check in core.AXIOM_CHECKS)
-        assert core._passes_reduced(n, hyperadd, mul) == exhaustive
+        passes = all(ORACLES[axiom](n, hyperadd, mul) is None for axiom in ("KR1", "KR3", "CH5", "CH1"))
+        assert core._passes_reduced(n, hyperadd, mul) == passes
 
 
 def test_order_six_classes_are_proved_by_the_reductions():
     for h in enumerate_hyperfields(6):
-        assert assert_reduction_agrees(h.candidate).ok
+        assert assert_matches_oracles(h.candidate).ok
 
 
 def one_cell_changes(c, symmetric):
@@ -277,12 +360,12 @@ def test_every_expanded_one_row_table(n, mul):
             assert expand_one_row(mul, OneRowMap(n, masks)).hyperadd == tuple(map(tuple, hyperadd))
         hit = core._ch5_scan(n, hyperadd, (1,))
         if hit is None:
-            assert core.ch5_violation(n, hyperadd, mul) is None, masks
+            assert core._ch5_scan(n, hyperadd, range(n)) is None, masks
         else:
             ch5_failures += 1
             assert hit[0][0] == 1 and ch5_fails_at(n, hyperadd, *hit[0]), masks
         if n < 5 or hit is None:
-            ch1 = core.ch1_violation(n, hyperadd, mul) is None
+            ch1 = core._ch1_scan(n, hyperadd, range(n)) is None
             assert (core._ch1_scan(n, hyperadd, (1,)) is None) == ch1, masks
         if core.ch2_violation(n, hyperadd, mul) is None:  # the other five hold by expansion
             decided += 1
@@ -329,7 +412,7 @@ def test_lights_test_matches_kr1_on_random_commutative_loops(n):
     verdicts = set()
     for _ in range(150):
         mul = random_commutative_loop(n, rng)
-        associative = core.kr1_violation(n, None, mul) is None
+        associative = kr1_oracle(n, None, mul) is None
         assert core._light_associative(n, mul) == associative, mul
         verdicts.add(associative)
     if n in (7, 8):  # both kinds are common from order 7 on
@@ -359,7 +442,7 @@ def test_scaling_identity_matches_kr3(base):
         if changed.mul != c.mul or core.ch3_violation(n, changed.hyperadd, c.mul):
             continue
         scales = core._scales_from_one_row(n, changed.hyperadd, c.mul)
-        assert scales == (core.kr3_violation(n, changed.hyperadd, c.mul) is None)
+        assert scales == (kr3_oracle(n, changed.hyperadd, c.mul) is None)
         verdicts.add(scales)
     assert core._scales_from_one_row(n, c.hyperadd, c.mul)
     assert False in verdicts

@@ -8,10 +8,10 @@ compare, and fast to scan in the enumeration kernel.
 Nothing is assumed about a candidate beyond table shape: the distinguished
 zero (index 0) and one (index 1) earn their roles through verify(), which
 checks the canonical-hypergroup axioms CH1..CH5, the hyperring axioms
-KR1..KR3 and the hyperfield axioms HF1..HF2.  A pass is proved by
-reductions that are theorems (see the comment on the axiom checks), and a
-failure is found with the witness an exhaustive scan would give, by
-deciders that scan only what three more theorems leave open.
+KR1..KR3 and the hyperfield axioms HF1..HF2, each once on one view of the
+table.  The four cubic axioms have exact deciders, theorem first, scan
+second: a theorem proves the axiom where it applies, and otherwise a scan
+names the witness an exhaustive one would (see the comment on the checks).
 
 The one row.  A hyperfield is fixed by its multiplication and its row
 v(z) = 1 (+) z through the scaling identity x (+) y = x . v(x^-1 y) for
@@ -278,91 +278,78 @@ def group_isomorphisms(n, mul1, mul2) -> Iterator[tuple[int, ...]]:
 
 # --- axiom checks ------------------------------------------------------
 #
-# Each check returns None on success, else (witness, reason) where witness
-# is the lexicographically first violating tuple.  verify() reports every
-# failed axiom (full report, not fail-fast); the enumeration kernel reuses
-# the two checks its expansion cannot guarantee.
+# Each entry of AXIOM_CHECKS takes the _Table view verify() builds of a
+# validated table and returns None on success, else (witness, reason) where
+# witness is the lexicographically first violating tuple.  verify() calls
+# every entry once; the view computes each fact they share at most once.
 #
-# CH1, CH5, KR1 and KR3 range over n^3 triples.  Each is an exact decider:
-# it returns what a scan of every triple in lexicographic order would, but
-# skips the work that a theorem makes redundant (the failure path below).
-# What is left is scanned a whole row over z at a time: for fixed x and y
-# each side becomes a sequence over z, built by C-level map() and compared
-# with one ==; only a mismatching pair of rows is walked to find its first
-# z.  A table has few distinct masks, and the image of a mask under
-# "x (+) -", "x . -" or "- . x" is the union of the images of its members,
-# so for each x every mask's image is computed once into a dict that is
-# dropped before the next x.  For CH1, the row (x (+) y) (+) z over z
-# depends only on the mask x (+) y, so it is built once per distinct mask as
-# the OR of the rows of its members.  Cells must be nonempty, which
-# validate_candidate() and the enumeration kernel's expansion guarantee.
+# CH2, CH3, CH4, KR2, HF1 and HF2 scan their O(n^2) cells.  CH1, CH5, KR1
+# and KR3 range over n^3 triples, and each is an exact decider, theorem
+# first, scan second: it proves the axiom where a theorem applies, and
+# otherwise scans what the theorems leave open, so it returns what a scan
+# of every triple in lexicographic order would.
 #
-# A table that passes the six O(n^2) checks (CH2, CH3, CH4, KR2, HF1, HF2)
-# is a commutative magma with identity 1, absorbing 0 and inverses.  On such
-# a table _passes_reduced() proves the other four axioms by three
-# reductions; each is a theorem, so a pass claims no less than the
-# exhaustive checks:
-#
-#   KR1 by Light's test (Clifford & Preston, The Algebraic Theory of
-#     Semigroups I, section 1.4): the s with (x.s).y = x.(s.y) for all x, y
-#     are closed under products, since (x.ab).y = ((x.a).b).y =
-#     (x.a).(b.y) = x.(a.(b.y)) = x.(ab.y); so checking the greedy
-#     generators of the nonzero part, with 0 and 1 holding by KR2 and HF1,
-#     proves the whole table associative.
-#   KR3 by the scaling identity x (+) y = x . v(x^-1 y) for every x != 0,
-#     where v(z) = 1 (+) z.  KR3 gives it: x . (1 (+) x^-1 y) = x (+) y.  It
-#     gives KR3 back: for a, b != 0, ab (+) ac = ab . v(b^-1 c) =
-#     a . (b . v(b^-1 c)) = a . (b (+) c); a = 0 or b = 0 holds by CH3 and
-#     KR2, and the right law by HF1.
-#   CH1 and CH5 at x = 1 only: under the scaling identity multiplying by
-#     x^-1 maps a violation at (x, y, z) with x != 0 onto one at
-#     (1, x^-1 y, x^-1 z), because opposites scale as (a.x)' = a.x' by CH4;
-#     at x = 0 both axioms follow from CH3.
-#
-# Cost: Light's test compares n-2 rows of length n per greedy generator, and
-# a group of order n-1 has at most log2(n-1) of those (GF(2^k) has k), so it
-# is O(n^2 log n).  The scaling identity and the scans at x = 1 take O(n^2)
-# mask operations plus one OR per member of each distinct mask they scale or
-# sum: O(n^2) on tables with cells of bounded size, such as the triple-sum
-# and pair hyperfields.
-#
-# A table the reductions do not prove goes through the four deciders of
-# AXIOM_CHECKS, which find each witness by three more theorems; none needs
-# the table to pass anything:
-#
-#   KR1: where 1 is a two-sided identity and 0 two-sided absorbing (O(n) to
-#     check), those two lie in Light's set, so Light's test proves the
-#     axiom when it passes.  Otherwise each (x, y) compares the row
-#     (x.y).z over z with x.(y.z) over z, C-level, and walks z only on a
-#     mismatch.
-#   KR3: if g and c satisfy both distributive laws, so does any x whose row
-#     is g.(c.w) over w and whose column is (w.g).c over w: apply the laws
-#     of c and then those of g.  The x are taken in ascending order; an x
-#     that no pair (g, c) has certified this way, with g scanned and passed
-#     and c certified, is scanned, and the first x that fails its scan is
-#     the first x that fails at all.  Each pair is tried once, at O(n).
+#   KR1: Light's test (Clifford & Preston, The Algebraic Theory of
+#     Semigroups I, section 1.4).  The s with (x.s).y = x.(s.y) for all
+#     x, y are closed under products, since (x.ab).y = ((x.a).b).y =
+#     (x.a).(b.y) = x.(a.(b.y)) = x.(ab.y).  Where 1 is a two-sided
+#     identity and 0 two-sided absorbing, both lie in that set, so checking
+#     the greedy generators of the nonzero part proves the table
+#     associative.  Otherwise each (x, y) compares the rows (x.y).z and
+#     x.(y.z) over z.
+#   KR3: the certificate.  Where mul is a commutative group with zero
+#     (Light's test passes, rows equal columns, every x != 0 has an
+#     inverse) and hyperadd is the expansion of its own row 1 by the
+#     scaling identity x (+) y = x . v(x^-1 y), v(z) = 1 (+) z, for
+#     a, b, c != 0 ab (+) ac = ab . v(b^-1 c) = a . (b . v(b^-1 c)) =
+#     a . (b (+) c); a, b or c = 0 holds by the expansion's row and column
+#     0 and the absorbing 0, and the right law by commutativity.
+#     Otherwise x is taken in ascending order.  x = 0 distributes where 0
+#     is absorbing and 0 (+) 0 = {0}, and x = 1 where 1 is the identity.
+#     If g and c distribute, so does any x whose row is g.(c.w) over w and
+#     whose column is (w.g).c over w: apply the laws of c and then those of
+#     g.  An x that no pair (g, c) has certified this way, with g shown
+#     distributive and c certified, is scanned, and the first x that fails
+#     its scan is the first x that fails at all.  Each pair is tried once,
+#     at O(n).
 #   CH1 and CH5: a left multiplication s: w -> x.w that is a bijection,
 #     fixes 0 and distributes is an automorphism of (H, (+)), and it maps a
 #     violation at (x, y, z) to one at (s x, s y, s z) with the same reason
 #     (it maps opposites to opposites, as it fixes 0).  So the x with a
 #     violation are a union of orbits of the group such maps generate, and
-#     the first of them leads its orbit: only 0 and the least element of
-#     each orbit are scanned.  Generators are taken greedily from the x
-#     that still lead their orbits, and the search stops at the first
-#     bijection fixing 0 that does not distribute; with none found every x
-#     is scanned.
+#     the first of them leads its orbit: only the least element of each
+#     orbit is scanned.  Under the certificate every x != 0 gives such a
+#     map, and the leaders are 0 and 1.  Otherwise generators are taken
+#     greedily from the x that still lead their orbits, and the search
+#     stops at the first bijection fixing 0 that does not distribute; with
+#     none found every x is scanned.  CH1 skips x = 0 where CH3 holds, as
+#     then 0 (+) (y (+) z) = y (+) z = (0 (+) y) (+) z.
 #
-# Cost on the failure path, for a table whose nonzero part is a group up to
-# one corrupted cell.  A multiplication corruption leaves the automorphisms
-# of the intact rows, so CH1 and CH5 scan 0 and the few leaders of the
-# group those generate, and KR3 scans 0, 1, the greedy generators and the
-# x below its witness that no pair reaches.  Each scan costs as much as one
-# x of the exhaustive scan, O(n^2) on bounded cells, and so does each
-# generator test; with O(log n) of them these failures cost O(n^2 log n).
-# A hyperaddition corruption breaks the automorphisms (the cell-size test
-# usually shows it at once), so CH1 and CH5 still scan every x up to their
-# witness, O(n^3) when it sits near row n; KR1 is proved by Light's test,
-# and KR3 fails at its first x that does not distribute.
+# A scan takes a whole row over z at a time: for fixed x and y each side
+# becomes a sequence over z, built by C-level map() and compared with one
+# ==; only a mismatching pair of rows is walked to find its first z.  A
+# table has few distinct masks, and the image of a mask under "x (+) -",
+# "x . -" or "- . x" is the union of the images of its members, so for each
+# x every mask's image is computed once into a dict that is dropped before
+# the next x.  For CH1, the row (x (+) y) (+) z over z depends only on the
+# mask x (+) y, so it is built once per distinct mask as the OR of the rows
+# of its members.  Cells must be nonempty, which validate_candidate() and
+# the enumeration kernel's expansion guarantee.
+#
+# Cost on a hyperfield: Light's test compares n-2 rows of length n per
+# greedy generator, and a group of order n-1 has at most log2(n-1) of those
+# (GF(2^k) has k), so it is O(n^2 log n); the certificate and the scans at
+# x = 0 and 1 take O(n^2) mask operations plus one OR per member of each
+# distinct mask they scale or sum, O(n^2) on tables with cells of bounded
+# size, such as the triple-sum and pair hyperfields.  A table whose
+# multiplication is one cell off a group's keeps the automorphisms of the
+# intact rows, so CH1 and CH5 scan 0 and the few leaders of the group those
+# generate, and KR3 scans the greedy generators and the x below its witness
+# that no pair reaches: O(n^2 log n) on bounded cells.  A hyperaddition
+# corruption breaks the automorphisms (the cell-size test usually shows it
+# at once), so CH1 and CH5 scan every x up to their witness, O(n^3) when it
+# sits near row n; KR1 is proved by Light's test, and KR3 fails at its
+# first x that does not distribute.
 
 
 def _members(hyperadd):
@@ -380,13 +367,18 @@ def _or_rows(a, b):
     return tuple(map(or_, a, b))
 
 
-def _distribution_rows(n, hyperadd, members, s):
+def _first_difference(a, b):
+    """The first index at which two sequences that differ disagree."""
+    return next(i for i, (u, v) in enumerate(zip(a, b)) if u != v)
+
+
+def _distribution_rows(t, s):
     """For each y, the rows over z of s(y (+) z) and of s(y) (+) s(z), where
     s lists the values of a map of the carrier: s distributes over (+)
     exactly where the two agree."""
-    scale = _images(members, [1 << v for v in s]).__getitem__
-    for y in range(n):
-        yield list(map(scale, hyperadd[y])), list(map(hyperadd[s[y]].__getitem__, s))
+    scale = _images(t.members, [1 << v for v in s]).__getitem__
+    for y, row in enumerate(t.hyperadd):
+        yield list(map(scale, row)), list(map(t.hyperadd[s[y]].__getitem__, s))
 
 
 def _leaders(n, perms):
@@ -409,33 +401,107 @@ def _leaders(n, perms):
     return leaders
 
 
-def _orbit_leaders(n, hyperadd, mul):
-    """The x that the CH1 and CH5 scans must visit: the least element of
-    each orbit under the automorphisms of (+) found among the left
-    multiplications.  Each x in 2..n-1 that leads its orbit so far is a
-    generator when its row is a bijection fixing 0 that distributes over
-    (+); the search stops at the first such bijection that does not."""
-    sizes = [list(map(int.bit_count, row)) for row in hyperadd]
-    members = None
-    perms = []
-    leaders = list(range(n))
-    for x in range(2, n):
-        row = mul[x]
-        if x not in leaders or row[0] != 0 or len(set(row)) != n:
-            continue
-        if any(list(map(sizes[row[y]].__getitem__, row)) != sizes[y] for y in range(n)):
-            break  # an automorphism keeps the size of every cell
-        members = members or _members(hyperadd)
-        if any(got != want for got, want in _distribution_rows(n, hyperadd, members, row)):
-            break
-        perms.append(row)
-        leaders = _leaders(n, perms)
-    return leaders
+class _fact:
+    """A fact of _Table, computed on its first read and stored in the
+    instance dict, where later reads find it first: functools.cached_property
+    without the lock it takes in CPython 3.11."""
+
+    def __init__(self, compute):
+        self.compute, self.name = compute, compute.__name__
+
+    def __get__(self, t, owner=None):
+        value = t.__dict__[self.name] = self.compute(t)
+        return value
 
 
-def _ch1_scan(n, hyperadd, xs):
+class _Table:
+    """One verify() call's view of a table, which the enumeration kernel
+    also builds for its scans at x = 1: n, hyperadd and mul as given (tuple
+    or list rows), and the facts the axiom checks share, each computed at
+    most once."""
+
+    def __init__(self, n, hyperadd, mul):
+        self.n, self.hyperadd, self.mul = n, hyperadd, mul
+
+    @_fact
+    def members(t):
+        return _members(t.hyperadd)
+
+    @_fact
+    def partners(t):
+        """partners[x] lists the candidate opposites of x."""
+        return list(map(_zero_partners, t.hyperadd))
+
+    @_fact
+    def rows(t):
+        """The rows of mul as tuples, so that rows and columns compare."""
+        return tuple(map(tuple, t.mul))
+
+    @_fact
+    def cols(t):
+        return tuple(zip(*t.mul))
+
+    @_fact
+    def neutral(t):
+        """(0 is two-sided absorbing, 1 is a two-sided identity) in mul."""
+        rows, cols = t.rows, t.cols
+        return not any(rows[0]) and not any(cols[0]), rows[1] == cols[1] == tuple(range(t.n))
+
+    @_fact
+    def associative(t):
+        """Light's test on the greedy generators, given the identity and
+        the absorbing zero.  More generators than a group of order n-1 can
+        have means no group."""
+        n, rows = t.n, t.rows
+        if not all(t.neutral):
+            return False
+        limit = (n - 1).bit_length()
+        gens = list(islice(greedy_generators(n, rows), limit + 1))
+        if len(gens) > limit or len(span(rows, gens)) != n - 1:
+            return False
+        # (x.s).y against x.(s.y) over y
+        return all(rows[mx[s]] == tuple(map(mx.__getitem__, rows[s]))
+                   for s in gens for mx in rows[2:])
+
+    @_fact
+    def scales(t):
+        """The certificate: mul is a commutative group with zero and
+        hyperadd is the expansion of its own row 1."""
+        n, rows, hyperadd = t.n, t.rows, t.hyperadd
+        if not (t.associative and rows == t.cols):
+            return False
+        inv = inverses(n, rows)
+        return all(inv[1:]) and (_expand(n, rows, inv, *_row_scalars(rows, hyperadd[1]))
+                                 == list(map(list, hyperadd)))
+
+    @_fact
+    def leaders(t):
+        """The x that the CH1 and CH5 scans must visit: the least element of
+        each orbit under the automorphisms of (+) found among the left
+        multiplications.  Each x in 2..n-1 that leads its orbit so far is a
+        generator when its row is a bijection fixing 0 that distributes over
+        (+); the search stops at the first such bijection that does not."""
+        if t.scales:
+            return [0, 1]
+        n = t.n
+        sizes = [list(map(int.bit_count, row)) for row in t.hyperadd]
+        perms = []
+        leaders = list(range(n))
+        for x, row in enumerate(t.rows[2:], 2):
+            if x not in leaders or row[0] != 0 or len(set(row)) != n:
+                continue
+            # an automorphism keeps the size of every cell, which is quick to test first
+            if (any(list(map(sizes[row[y]].__getitem__, row)) != sizes[y] for y in range(n))
+                    or any(got != want for got, want in _distribution_rows(t, row))):
+                break
+            perms.append(row)
+            leaders = _leaders(n, perms)
+        return leaders
+
+
+def _ch1_scan(t, xs):
     """The first CH1 violation with x in xs."""
-    members = _members(hyperadd)
+    n, hyperadd, members = t.n, t.hyperadd, t.members
     sums = {}  # mask m -> the row m (+) z over z
     for x in xs:
         hx = hyperadd[x]
@@ -447,33 +513,32 @@ def _ch1_scan(n, hyperadd, xs):
             if other is None:  # tuple(): the kernel's rows are lists
                 other = sums[m] = tuple(reduce(_or_rows, map(hyperadd.__getitem__, members[m])))
             if row != other:
-                z = next(z for z in range(n) if row[z] != other[z])
-                return (x, y, z), "regrouped sums differ"
+                return (x, y, _first_difference(row, other)), "regrouped sums differ"
     return None
 
 
-def ch1_violation(n, hyperadd, mul):
-    return _ch1_scan(n, hyperadd, _orbit_leaders(n, hyperadd, mul))
+def ch1_violation(t):
+    return _ch1_scan(t, t.leaders[1:] if ch3_violation(t) is None else t.leaders)
 
 
-def ch2_violation(n, hyperadd, mul):
-    for x in range(n):
-        for y in range(x + 1, n):
-            if hyperadd[x][y] != hyperadd[y][x]:
-                return (x, y), "sum not symmetric"
+def ch2_violation(t):
+    # The first row x that differs from its column does so first at y > x.
+    cols = tuple(zip(*t.hyperadd))
+    for x, row in enumerate(map(tuple, t.hyperadd)):
+        if row != cols[x]:
+            return (x, _first_difference(row, cols[x])), "sum not symmetric"
     return None
 
 
-def ch3_violation(n, hyperadd, mul):
-    for x in range(n):
-        if hyperadd[0][x] != 1 << x:
+def ch3_violation(t):
+    for x in range(t.n):
+        if t.hyperadd[0][x] != 1 << x:
             return (x,), "zero row not scalar identity"
     return None
 
 
-def ch4_violation(n, hyperadd, mul):
-    for x in range(n):
-        found = _zero_partners(hyperadd[x])
+def ch4_violation(t):
+    for x, found in enumerate(t.partners):
         if not found:
             return (x,), "no opposite"
         if len(found) > 1:
@@ -481,15 +546,15 @@ def ch4_violation(n, hyperadd, mul):
     return None
 
 
-def _ch5_scan(n, hyperadd, xs):
+def _ch5_scan(t, xs):
     """The first CH5 violation with x in xs."""
-    opp = [p[0] if len(p) == 1 else None for p in map(_zero_partners, hyperadd)]
+    n, hyperadd = t.n, t.hyperadd
+    opp = [p[0] if len(p) == 1 else None for p in t.partners]
     for x in xs:
         xo = opp[x]
         for y in range(n):
             yo = opp[y]
-            members = hyperadd[x][y]
-            for z in iter_bits(members):
+            for z in iter_bits(hyperadd[x][y]):
                 if xo is None or yo is None:
                     return (x, y, z), "opposite undefined"
                 if not hyperadd[xo][z] >> y & 1:
@@ -499,40 +564,36 @@ def _ch5_scan(n, hyperadd, xs):
     return None
 
 
-def ch5_violation(n, hyperadd, mul):
-    return _ch5_scan(n, hyperadd, _orbit_leaders(n, hyperadd, mul))
+def ch5_violation(t):
+    return _ch5_scan(t, t.leaders)
 
 
-def kr1_violation(n, hyperadd, mul):
-    mul = tuple(map(tuple, mul))  # rows compare as tuples below and in Light's test
-    if _identity_and_zero(n, mul) and _light_associative(n, mul):
+def kr1_violation(t):
+    if t.associative:
         return None
-    for x in range(n):
-        mx = mul[x]
-        for y in range(n):
-            left = mul[mx[y]]  # (x.y).z over z
-            right = tuple(map(mx.__getitem__, mul[y]))  # x.(y.z) over z
+    rows = t.rows
+    for x, mx in enumerate(rows):
+        for y in range(t.n):
+            left = rows[mx[y]]  # (x.y).z over z
+            right = tuple(map(mx.__getitem__, rows[y]))  # x.(y.z) over z
             if left != right:
-                for z in range(n):
-                    if left[z] != right[z]:
-                        return (x, y, z), "regrouped products differ"
+                return (x, y, _first_difference(left, right)), "regrouped products differ"
     return None
 
 
-def kr2_violation(n, hyperadd, mul):
-    for x in range(n):
-        if mul[x][0] != 0 or mul[0][x] != 0:
+def kr2_violation(t):
+    for x in range(t.n):
+        if t.mul[x][0] != 0 or t.mul[0][x] != 0:
             return (x,), "zero not absorbing"
     return None
 
 
-def _kr3_scan(n, hyperadd, members, row, col, x):
-    """The first KR3 violation at x, given row x and column x of mul."""
-    rows = zip(_distribution_rows(n, hyperadd, members, row),
-               _distribution_rows(n, hyperadd, members, col))
+def _kr3_scan(t, x):
+    """The first KR3 violation at x."""
+    rows = zip(_distribution_rows(t, t.rows[x]), _distribution_rows(t, t.cols[x]))
     for y, ((left, left_want), (right, right_want)) in enumerate(rows):
         if left != left_want or right != right_want:
-            for z in range(n):
+            for z in range(t.n):
                 if left[z] != left_want[z]:
                     return (x, y, z), "left distributivity fails"
                 if right[z] != right_want[z]:
@@ -540,21 +601,22 @@ def _kr3_scan(n, hyperadd, members, row, col, x):
     return None
 
 
-def kr3_violation(n, hyperadd, mul):
-    members = _members(hyperadd)
-    rows, cols = tuple(map(tuple, mul)), tuple(zip(*mul))
+def kr3_violation(t):
+    if t.scales:
+        return None
+    n, rows, cols = t.n, t.rows, t.cols
+    outright = (t.neutral[0] and t.hyperadd[0][0] == 1, t.neutral[1])  # x = 0 and 1 distribute
     certified = [False] * n
-    scanned = []  # the x certified by _kr3_scan
+    shown = []  # the x shown distributive, by their scan or outright
     for x in range(n):
         if certified[x]:
             continue
-        hit = _kr3_scan(n, hyperadd, members, rows[x], cols[x], x)
+        hit = None if x < 2 and outright[x] else _kr3_scan(t, x)
         if hit is not None:
             return hit
-        pairs = [(x, c) for c in range(n) if certified[c]]
+        pairs = [(x, c) for c in range(n) if certified[c]] + [(g, x) for g in shown + [x]]
         certified[x] = True
-        scanned.append(x)
-        pairs += [(g, x) for g in scanned]
+        shown.append(x)
         while pairs:  # each (g, c) is tried once
             g, c = pairs.pop()
             gc = rows[g][c]
@@ -562,28 +624,27 @@ def kr3_violation(n, hyperadd, mul):
                     and rows[gc] == tuple(map(rows[g].__getitem__, rows[c]))
                     and cols[gc] == tuple(map(cols[c].__getitem__, cols[g]))):
                 certified[gc] = True
-                pairs += [(h, gc) for h in scanned]
+                pairs += [(h, gc) for h in shown]
     return None
 
 
-def hf1_violation(n, hyperadd, mul):
-    for x in range(n):
-        for y in range(x + 1, n):
-            if mul[x][y] != mul[y][x]:
-                return (x, y), "multiplication not commutative"
-    for x in range(n):
-        if mul[1][x] != x:
-            return (x,), "one not identity"
+def hf1_violation(t):
+    rows, cols = t.rows, t.cols  # as in CH2, the first x has its witness at y > x
+    for x, row in enumerate(rows):
+        if row != cols[x]:
+            return (x, _first_difference(row, cols[x])), "multiplication not commutative"
+    if rows[1] != tuple(range(t.n)):
+        return (_first_difference(rows[1], range(t.n)),), "one not identity"
     return None
 
 
-def hf2_violation(n, hyperadd, mul):
-    for x in range(1, n):
-        for y in range(1, n):
-            if mul[x][y] == 0:
-                return (x, y), "zero divisor"
-    for x in range(1, n):
-        if not any(mul[x][y] == 1 for y in range(1, n)):
+def hf2_violation(t):
+    rows = t.rows
+    for x in range(1, t.n):
+        if 0 in rows[x][1:]:
+            return (x, rows[x].index(0, 1)), "zero divisor"
+    for x in range(1, t.n):
+        if 1 not in rows[x][1:]:
             return (x,), "no multiplicative inverse"
     return None
 
@@ -615,10 +676,6 @@ AXIOM_NAMES = {
 }
 
 
-# The checks verify() runs before the reductions: each costs O(n^2).
-QUADRATIC_AXIOMS = frozenset(("CH2", "CH3", "CH4", "KR2", "HF1", "HF2"))
-
-
 # --- the one row ------------------------------------------------------
 
 
@@ -629,17 +686,10 @@ def _expand(n, mul, inv, smul, keys):
     kernel keys v(z) by its mask, _row_scalars() by an index.  Returns fresh
     lists.
     """
-    hyperadd = [[0] * n for _ in range(n)]
-    row0 = hyperadd[0]
-    for y in range(n):
-        row0[y] = 1 << y
+    hyperadd = [[1 << y for y in range(n)]]
     for x in range(1, n):
-        rx = hyperadd[x]
-        rx[0] = 1 << x
-        mi = mul[inv[x]]
         sx = smul[x]
-        for y in range(1, n):
-            rx[y] = sx[keys[mi[y]]]
+        hyperadd.append([1 << x] + [sx[keys[z]] for z in mul[inv[x]][1:]])  # z = x^-1 y
     return hyperadd
 
 
@@ -693,47 +743,6 @@ def expand_one_row(mul_table, nu: OneRowMap) -> HyperfieldCandidate:
     return HyperfieldCandidate(n, tuple(map(tuple, hyperadd)), mul)
 
 
-def _identity_and_zero(n, mul) -> bool:
-    """1 is a two-sided identity and 0 is two-sided absorbing: Light's test
-    needs both."""
-    return all(mul[1][x] == x == mul[x][1] and mul[0][x] == 0 == mul[x][0] for x in range(n))
-
-
-def _light_associative(n, mul) -> bool:
-    """KR1 by Light's test on the greedy generators; mul has tuple rows.
-    More generators than a group of order n-1 can have means no group."""
-    limit = (n - 1).bit_length()
-    gens = list(islice(greedy_generators(n, mul), limit + 1))
-    if len(gens) > limit or len(span(mul, gens)) != n - 1:
-        return False
-    for s in gens:
-        ms = mul[s]
-        for x in range(2, n):
-            mx = mul[x]
-            if mul[mx[s]] != tuple(map(mx.__getitem__, ms)):  # (x.s).y vs x.(s.y) over y
-                return False
-    return True
-
-
-def _scales_from_one_row(n, hyperadd, mul) -> bool:
-    """KR3 by the scaling identity, given a group with zero."""
-    expanded = _expand(n, mul, inverses(n, mul), *_row_scalars(mul, hyperadd[1]))
-    return expanded == list(map(list, hyperadd))
-
-
-def _passes_reduced(n, hyperadd, mul) -> bool:
-    """True when CH1, CH5, KR1 and KR3 are proved by the three reductions on
-    a table that passes every check in QUADRATIC_AXIOMS; False means "not
-    proved", never "fails", and yields no witness.  KR1 goes first: the
-    other reductions assume a group.  Light's test compares the tuple rows
-    that HyperfieldCandidate declares; list rows can cost the fast path,
-    never the verdict."""
-    return (_light_associative(n, mul)
-            and _scales_from_one_row(n, hyperadd, mul)
-            and _ch5_scan(n, hyperadd, (1,)) is None
-            and _ch1_scan(n, hyperadd, (1,)) is None)
-
-
 @dataclass(frozen=True)
 class AxiomResult:
     axiom: str
@@ -763,33 +772,21 @@ class AxiomReport:
 def verify(c: HyperfieldCandidate) -> AxiomReport:
     """Check all ten hyperfield axioms; never fail-fast.
 
-    A pass is proved by the reductions, and a failure is shown by the
-    lexicographically first witness of each failed axiom: the O(n^2) checks
-    run first, and when they all pass, _passes_reduced() decides the other
-    four in O(n^2 log n) on tables with cells of bounded size.  Whatever it
-    does not prove runs through the deciders of AXIOM_CHECKS: Light's test
-    for KR1, certification by composed multiplications for KR3, and one x
-    per automorphism orbit for CH1 and CH5.  A table whose multiplication
-    is one cell off a group's costs them O(n^2 log n) on bounded cells; one
-    whose hyperaddition breaks the automorphisms leaves CH1 and CH5 to scan
-    every x up to their witness, O(n^3).
+    Every entry of AXIOM_CHECKS runs once on one _Table view of c, and each
+    failed axiom is reported with its lexicographically first witness.  The
+    four cubic deciders try a theorem first and scan second (see the
+    comment on the axiom checks): KR1 Light's test, else a row scan; KR3
+    the scaling-identity certificate, else the x that no composition of
+    distributive multiplications certifies; CH1 and CH5 one x per orbit of
+    the automorphisms of (+), 0 and 1 under the certificate.  A hyperfield
+    with cells of bounded size passes in O(n^2 log n); a table whose
+    hyperaddition breaks the automorphisms can cost O(n^3).
     """
     validate_candidate(c)
-    n, hyperadd, mul = c.n, c.hyperadd, c.mul
-    checks = AXIOM_CHECKS
-    hits = {code: fn(n, hyperadd, mul) for code, fn in checks if code in QUADRATIC_AXIOMS}
-    proved = all(hit is None for hit in hits.values()) and _passes_reduced(n, hyperadd, mul)
-    if not proved:
-        hits.update((code, fn(n, hyperadd, mul)) for code, fn in checks if code not in hits)
-    results = []
-    for code, _ in checks:
-        hit = hits.get(code)
-        if hit is None:
-            results.append(AxiomResult(code, True))
-        else:
-            witness, reason = hit
-            results.append(AxiomResult(code, False, witness, reason))
-    return AxiomReport(tuple(results))
+    t = _Table(c.n, c.hyperadd, c.mul)
+    hits = [(code, check(t)) for code, check in AXIOM_CHECKS]
+    return AxiomReport(tuple(AxiomResult(code, True) if hit is None
+                             else AxiomResult(code, False, *hit) for code, hit in hits))
 
 
 @dataclass(frozen=True)

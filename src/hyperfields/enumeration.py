@@ -52,6 +52,7 @@ from .core import (  # bench/spans.py wraps _expand, ch5_violation and ch1_viola
     _ch1_scan as ch1_violation,
     _ch5_scan as ch5_violation,
     _expand,
+    _Table,
     inverses,
     verified,
 )
@@ -192,8 +193,8 @@ def _run_shard(args):
             else:
                 scanned += 1
                 hyperadd = _expand(n, mul, inv, smul, masks)
-                if (ch5_violation(n, hyperadd, (1,)) is None
-                        and ch1_violation(n, hyperadd, (1,)) is None):
+                t = _Table(n, hyperadd, mul)
+                if ch5_violation(t, (1,)) is None and ch1_violation(t, (1,)) is None:
                     survivors.append((tuple(map(tuple, hyperadd)), mul))
         return False
 

@@ -1,4 +1,6 @@
 import hashlib
+import json
+import random
 import re
 import subprocess
 import sys
@@ -7,13 +9,19 @@ from pathlib import Path
 import pytest
 
 from hyperfields import (
+    HyperfieldCandidate,
     candidate_from_document,
     enumerate_hyperfields,
     enumeration,
     fingerprint,
+    gf,
+    massouros,
+    pair_hyperfield,
     parse_document,
+    quotient,
     relabel,
     render_document,
+    subgroup_closure,
     to_document,
     verify,
 )
@@ -128,6 +136,57 @@ class TestVerify:
 
     def test_missing_file(self, capsys):
         assert run_cli(capsys, "verify", "no-such-file.json")[0] == 2
+
+
+def corrupted_tables():
+    """(name, candidate) for every table pinned in
+    golden/verify_report_sha256.json: six tables per construction, each one
+    cell of hyperadd or mul changed, alone or with its mirror cell, chosen
+    by a generator seeded with the construction's name.  Row 0 of hyperadd
+    and row 1 of mul stay as they are, as a document requires."""
+    f31 = gf(31)
+    built = {
+        "massouros(gf(2,3))": massouros(gf(2, 3)),
+        "pair_hyperfield(12)": pair_hyperfield(12),
+        "quotient(gf(31), subgroup of order 2)": quotient(f31, subgroup_closure(f31, [30])),
+        "massouros(gf(5,2))": massouros(gf(5, 2)),
+        "pair_hyperfield(32)": pair_hyperfield(32),
+        "massouros(gf(37))": massouros(gf(37)),
+    }
+    for base, h in built.items():
+        n, rng = h.n, random.Random(base)
+        not_one = [0, *range(2, n)]
+        for table in ("add", "mul") * 3:
+            cells = [[list(row) for row in h.hyperadd], [list(row) for row in h.mul]]
+            if table == "add":
+                x, y, w = rng.randrange(1, n), rng.randrange(1, n), rng.randrange(n)
+                old = h.hyperadd[x][y]
+                value = old ^ 1 << w or old | 1 << (w + 1) % n
+            else:
+                x, y = rng.choice(not_one), rng.choice(not_one)
+                value = (h.mul[x][y] + rng.randrange(1, n)) % n
+            mirror = rng.random() < 0.5
+            for a, b in {(x, y), (y, x)} if mirror else {(x, y)}:
+                cells[table == "mul"][a][b] = value
+            name = f"{base} {table}[{x}][{y}]={value}{' and mirror' if mirror else ''}"
+            yield name, HyperfieldCandidate(n, *(tuple(map(tuple, t)) for t in cells))
+
+
+class TestReportPin:
+    def test_failing_reports_match_their_digests(self, capsys, tmp_path):
+        """The text of `verify --report` on one-cell corruptions of six
+        constructions of orders 8-37: a change to any witness or reason the
+        deciders name fails here, so a re-baseline of
+        golden/verify_report_sha256.json is a deliberate step."""
+        pinned = json.loads((GOLDEN / "verify_report_sha256.json").read_text(encoding="utf-8"))
+        got = {}
+        path = tmp_path / "table.json"
+        for name, c in corrupted_tables():
+            path.write_text(render_document(to_document(c)), encoding="utf-8")
+            code, out, _ = run_cli(capsys, "verify", str(path), "--report")
+            assert code == 1 and out.endswith("overall: fail\n"), name
+            got[name] = hashlib.sha256(out.encode()).hexdigest()
+        assert got == pinned
 
 
 class TestEnumerate:

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import product as iproduct
 
 import pytest
@@ -20,6 +21,7 @@ from hyperfields import (
     verified,
     verify,
 )
+from hyperfields import core
 from conftest import FIVE_ADD, FIVE_MUL, one_row_reconstruction_ok
 
 
@@ -140,6 +142,36 @@ class TestVerify:
         opp = {a: opposite(c, a) for a in range(5)}
         assert z in c.cell(x, y)
         assert (y not in c.cell(opp[x], z)) or (x not in c.cell(z, opp[y]))
+
+    @pytest.mark.parametrize("cells, failing", [
+        ({}, set()),
+        ({(1, 2): [1], (2, 1): [1]}, {"CH1", "CH5", "KR3"}),
+        ({(1, 2): [1]}, {"CH1", "CH2", "CH5", "KR3"}),
+    ], ids=["passing", "cubic-only", "quadratic"])
+    def test_every_check_runs_once_and_each_fact_is_derived_once(
+            self, monkeypatch, cells, failing):
+        """verify() calls each AXIOM_CHECKS entry exactly once, wrapped in
+        place as a tracer wraps them, so per-axiom spans are truthful; and
+        its one table view computes each shared fact at most once."""
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(core, "AXIOM_CHECKS", tuple(
+            (code, counted(code, fn)) for code, fn in core.AXIOM_CHECKS))
+        facts = {name: fact for name, fact in vars(core._Table).items()
+                 if isinstance(fact, core._fact)}
+        for name, fact in facts.items():
+            monkeypatch.setattr(fact, "compute", counted(name, fact.compute))
+        report = verify(mutated_five(cells))
+        assert {r.axiom for r in report.failures()} == failing
+        assert [calls[code] for code, _ in core.AXIOM_CHECKS] == [1] * 10
+        assert max(calls[name] for name in facts) == 1
+        assert {"rows", "associative", "scales", "leaders"} <= set(calls)
 
     def test_structural_rejects_before_axioms(self):
         with pytest.raises(StructuralError):

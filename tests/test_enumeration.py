@@ -208,9 +208,10 @@ def flat_shard(shard):
             v[inv[z]] = _scaled(mul, inv[z], m)
         smul, keys = core._row_scalars(mul, v)
         hyperadd = core._expand(n, mul, inv, smul, keys)
-        if core._ch5_scan(n, hyperadd, range(n)) is not None:
+        table = core._Table(n, hyperadd, mul)
+        if core._ch5_scan(table, range(n)) is not None:
             ch5_rejects += 1
-        elif core._ch1_scan(n, hyperadd, range(n)) is not None:
+        elif core._ch1_scan(table, range(n)) is not None:
             ch1_rejects += 1
         else:
             survivors.append((tuple(map(tuple, hyperadd)), mul))
@@ -247,8 +248,8 @@ class TestKernelFilters:
         leaves = [0, 0]
         scan = enumeration.ch5_violation
 
-        def counting(size, hyperadd, xs):
-            hit = scan(size, hyperadd, xs)
+        def counting(table, xs):
+            hit = scan(table, xs)
             leaves[0] += 1
             leaves[1] += hit is not None
             return hit

@@ -1,5 +1,5 @@
 """Slow oracles for the verifier: its four cubic axioms, CH1, CH5, KR1 and
-KR3, and the reductions that decide a passing table.
+KR3, and the theorems its deciders apply.
 
 The package decides the four axioms by theorems that skip most of the
 work: Light's test for KR1, composition of certified multiplications for
@@ -10,18 +10,20 @@ over plain Python sets: no caches, no bitmask helpers and nothing imported
 from the package's core.  Both must name the same lexicographically first
 witness and the same reason, or both must pass.
 
-verify() proves a pass by reductions to x = 1 and to Light's test.  Every
-input here also checks that the reduced decision equals the oracles'
-verdict and that verify() returns exactly the report of the oracles and
-the six O(n^2) checks.  Each reduction is also checked on its own against
-the oracle of the axiom it replaces, because the whole decision can hide a
-wrong step behind another axiom's failure.
+Each decider applies its theorem first: Light's test for KR1, the
+scaling-identity certificate for KR3, and for CH1 and CH5 the orbit
+leaders, which are 0 and 1 under the certificate.  Every input here checks
+that verify() returns exactly the report of the oracles and the six O(n^2)
+checks.  Light's test and the certificate are also checked on their own
+against the oracle of the axiom they prove, because a whole report can
+hide a wrong step behind another axiom's failure.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import product as iproduct
+from functools import lru_cache
+from itertools import permutations, product as iproduct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -118,27 +120,23 @@ ORACLES = {"CH1": ch1_oracle, "CH5": ch5_oracle, "KR1": kr1_oracle, "KR3": kr3_o
 
 def exhaustive_report(c):
     """The report of the six O(n^2) checks and the four oracles."""
+    table = core._Table(c.n, c.hyperadd, c.mul)
     results = []
     for axiom, check in core.AXIOM_CHECKS:
-        hit = ORACLES.get(axiom, check)(c.n, c.hyperadd, c.mul)
+        hit = ORACLES[axiom](c.n, c.hyperadd, c.mul) if axiom in ORACLES else check(table)
         results.append(AxiomResult(axiom, True) if hit is None
                        else AxiomResult(axiom, False, *hit))
     return AxiomReport(tuple(results))
 
 
-def quadratic_checks_pass(n, hyperadd, mul):
-    return all(check(n, hyperadd, mul) is None for axiom, check in core.AXIOM_CHECKS
-               if axiom in core.QUADRATIC_AXIOMS)
-
-
 def assert_matches_oracles(c):
-    """verify() gives exactly the oracles' report, and the reduced decision
-    is their verdict."""
+    """verify() gives exactly the oracles' report, and Light's test and the
+    certificate hold only where the axioms they prove hold."""
     want = exhaustive_report(c)
-    reduced = (quadratic_checks_pass(c.n, c.hyperadd, c.mul)
-               and core._passes_reduced(c.n, c.hyperadd, c.mul))
-    assert reduced == want.ok
     assert verify(c) == want
+    table = core._Table(c.n, c.hyperadd, c.mul)
+    assert want["KR1"].passed or not table.associative
+    assert want["KR3"].passed or not table.scales
     return want
 
 
@@ -274,22 +272,36 @@ def test_corrupted_tables_agree_with_the_oracles(c):
     assert_matches_oracles(c)
 
 
-# --- the reductions that decide a passing table ---------------------------
+# --- the theorems that decide a hyperfield ---------------------------------
 
 
-def assert_decision_agrees(c):
-    """Where the six O(n^2) checks pass, the reductions prove exactly the
-    tables on which every exhaustive check passes; elsewhere verify() never
-    calls them."""
+QUADRATIC = ("CH2", "CH3", "CH4", "KR2", "HF1", "HF2")
+
+
+@lru_cache(maxsize=None)
+def kr1_holds(mul):
+    return kr1_oracle(len(mul), None, mul) is None
+
+
+def assert_steps_agree(c):
+    """Light's test passes only where KR1 holds, and the certificate only
+    where KR3 holds.  Where the six O(n^2) checks pass, both apply exactly
+    where their axiom holds (the certificate where KR1 does too), so a
+    hyperfield is always decided by the theorems."""
     n, hyperadd, mul = c.n, c.hyperadd, c.mul
-    if quadratic_checks_pass(n, hyperadd, mul):
-        passes = all(ORACLES[axiom](n, hyperadd, mul) is None for axiom in ("KR1", "KR3", "CH5", "CH1"))
-        assert core._passes_reduced(n, hyperadd, mul) == passes
+    table = core._Table(n, hyperadd, mul)
+    complete = all(check(table) is None for axiom, check in core.AXIOM_CHECKS
+                   if axiom in QUADRATIC)
+    if table.associative or complete:
+        assert table.associative == kr1_holds(mul)
+    if table.scales or complete and table.associative:
+        assert table.scales == (kr3_oracle(n, hyperadd, mul) is None)
 
 
 def test_order_six_classes_are_proved_by_the_reductions():
     for h in enumerate_hyperfields(6):
         assert assert_matches_oracles(h.candidate).ok
+        assert core._Table(h.n, h.hyperadd, h.mul).scales
 
 
 def one_cell_changes(c, symmetric):
@@ -312,7 +324,7 @@ def one_cell_changes(c, symmetric):
 @pytest.mark.parametrize("base", sorted(BASES))
 def test_every_one_cell_change_agrees(base, symmetric):
     for c in one_cell_changes(BASES[base], symmetric):
-        assert_decision_agrees(c)
+        assert_steps_agree(c)
 
 
 def one_row_maps(n):
@@ -350,26 +362,28 @@ def test_every_expanded_one_row_table(n, mul):
     """On every table expanded from a one-row map over the group: CH5 at
     x = 1 against the full CH5 (a failure at x = 1 must be a real one, and
     a pass at x = 1 a pass everywhere); CH1 at x = 1 against the full CH1
-    (at order 5 where CH5 passes, which keeps the scan short); and the
-    whole decision where the six O(n^2) checks pass.  The expansion builds
-    in the scaling identity, so the reductions to x = 1 are theorems here."""
+    (at order 5 where CH5 passes, which keeps the scan short); and Light's
+    test and the certificate where the six O(n^2) checks pass.  The
+    expansion builds in the scaling identity, so the reductions to x = 1
+    are theorems here."""
     count = ch5_failures = decided = 0
     for masks, hyperadd in expanded_tables(n, mul):
         count += 1
         if n < 5:
             assert expand_one_row(mul, OneRowMap(n, masks)).hyperadd == tuple(map(tuple, hyperadd))
-        hit = core._ch5_scan(n, hyperadd, (1,))
+        table = core._Table(n, hyperadd, mul)
+        hit = core._ch5_scan(table, (1,))
         if hit is None:
-            assert core._ch5_scan(n, hyperadd, range(n)) is None, masks
+            assert core._ch5_scan(table, range(n)) is None, masks
         else:
             ch5_failures += 1
             assert hit[0][0] == 1 and ch5_fails_at(n, hyperadd, *hit[0]), masks
         if n < 5 or hit is None:
-            ch1 = core._ch1_scan(n, hyperadd, range(n)) is None
-            assert (core._ch1_scan(n, hyperadd, (1,)) is None) == ch1, masks
-        if core.ch2_violation(n, hyperadd, mul) is None:  # the other five hold by expansion
+            ch1 = core._ch1_scan(table, range(n)) is None
+            assert (core._ch1_scan(table, (1,)) is None) == ch1, masks
+        if core.ch2_violation(table) is None:  # the other five hold by expansion
             decided += 1
-            assert_decision_agrees(HyperfieldCandidate(n, tuple(map(tuple, hyperadd)), mul))
+            assert_steps_agree(HyperfieldCandidate(n, tuple(map(tuple, hyperadd)), mul))
     assert count == (n - 1) * 2 ** (n - 1) * (2 ** (n - 1) - 1) ** (n - 2)
     assert 0 < ch5_failures < count and decided > 0
 
@@ -413,7 +427,7 @@ def test_lights_test_matches_kr1_on_random_commutative_loops(n):
     for _ in range(150):
         mul = random_commutative_loop(n, rng)
         associative = kr1_oracle(n, None, mul) is None
-        assert core._light_associative(n, mul) == associative, mul
+        assert core._Table(n, None, mul).associative == associative, mul
         verdicts.add(associative)
     if n in (7, 8):  # both kinds are common from order 7 on
         assert verdicts == {True, False}
@@ -428,7 +442,7 @@ def test_lights_test_passes_every_group_table(m):
     for mul in abelian_groups(m):
         for perm in ((0, 1, *range(2, n)), (0, 1, *range(n - 1, 1, -1))):
             relabelled = relabel(HyperfieldCandidate(n, hyperadd, mul), perm).mul
-            assert core._light_associative(n, relabelled)
+            assert core._Table(n, hyperadd, relabelled).associative
 
 
 @pytest.mark.parametrize("base", ["five", "massouros7", "pair6", "quotient9"])
@@ -439,10 +453,59 @@ def test_scaling_identity_matches_kr3(base):
     n = c.n
     verdicts = set()
     for changed in one_cell_changes(c, symmetric=True):
-        if changed.mul != c.mul or core.ch3_violation(n, changed.hyperadd, c.mul):
+        table = core._Table(n, changed.hyperadd, c.mul)
+        if changed.mul != c.mul or core.ch3_violation(table):
             continue
-        scales = core._scales_from_one_row(n, changed.hyperadd, c.mul)
-        assert scales == (kr3_oracle(n, changed.hyperadd, c.mul) is None)
-        verdicts.add(scales)
-    assert core._scales_from_one_row(n, c.hyperadd, c.mul)
+        assert table.scales == (kr3_oracle(n, changed.hyperadd, c.mul) is None)
+        verdicts.add(table.scales)
+    assert core._Table(n, c.hyperadd, c.mul).scales
     assert False in verdicts
+
+
+def symmetric_group_with_zero():
+    """S3 with a zero: permutations of three points, the identity first."""
+    perms = list(permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms, 1)}
+    return ((0,) * 7,) + tuple((0, *(index[tuple(p[i] for i in q)] for q in perms))
+                               for p in perms)
+
+
+CHAIN = tuple(tuple(min(x, y, key=(0, 3, 1, 2).__getitem__) for y in range(4))
+              for x in range(4))  # 0 < 2 < 3 < 1 under min
+
+
+@pytest.mark.parametrize("mul", [symmetric_group_with_zero(), CHAIN], ids=["S3", "chain"])
+def test_expansions_the_certificate_must_refuse(mul):
+    """Light's test passes on both multiplications, and a row v expands over
+    each (through inverses, 0 where missing) to a table that fails KR3: S3
+    is not commutative, and the chain has no inverses.  The certificate
+    checks both, so KR3 falls back to its scan."""
+    n = len(mul)
+    rng = random.Random(n)
+    for _ in range(30):
+        zstar = rng.randrange(1, n)
+        v = (2, *(rng.randrange(2, 1 << n, 2) | (z == zstar) for z in range(1, n)))
+        hyperadd = core._expand(n, mul, core.inverses(n, mul), *core._row_scalars(mul, v))
+        c = HyperfieldCandidate(n, tuple(map(tuple, hyperadd)), mul)
+        table = core._Table(n, c.hyperadd, c.mul)
+        assert table.associative and not table.scales
+        assert not assert_matches_oracles(c)["KR3"].passed
+
+
+@pytest.mark.parametrize("h", [massouros(gf(2, 5)), pair_hyperfield(20),
+                               verified(five_element_candidate())],
+                         ids=["massouros32", "pair20", "five"])
+def test_list_rows_decide_as_tuple_rows(h):
+    """A candidate built with list rows gets the same reports as with tuple
+    rows, passing and failing, and the certificate holds for both."""
+    n = h.n
+
+    def listed(c):
+        return HyperfieldCandidate(n, [list(row) for row in c.hyperadd],
+                                   [list(row) for row in c.mul])
+
+    for c in (h.candidate, with_cells(h.candidate, add_cells=[((2, 3), 1 << n - 1)]),
+              with_cells(h.candidate, mul_cells=[((3, 2), 0)])):
+        assert verify(listed(c)) == verify(c)
+    for c in (h.candidate, listed(h.candidate)):
+        assert core._Table(n, c.hyperadd, c.mul).scales

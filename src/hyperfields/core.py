@@ -323,7 +323,7 @@ def group_isomorphisms(n, mul1, mul2) -> Iterator[tuple[int, ...]]:
 #     greedily from the x that still lead their orbits, and the search
 #     stops at the first bijection fixing 0 that does not distribute; with
 #     none found every x is scanned.  CH1 skips x = 0 where CH3 holds, as
-#     then 0 (+) (y (+) z) = y (+) z = (0 (+) y) (+) z.
+#     0 (+) m = m, and scans nothing where _ch1_symmetry() proves it.
 #
 # A scan takes a whole row over z at a time: for fixed x and y each side
 # becomes a sequence over z, built by C-level map() and compared with one
@@ -338,10 +338,10 @@ def group_isomorphisms(n, mul1, mul2) -> Iterator[tuple[int, ...]]:
 #
 # Cost on a hyperfield: Light's test compares n-2 rows of length n per
 # greedy generator, and a group of order n-1 has at most log2(n-1) of those
-# (GF(2^k) has k), so it is O(n^2 log n); the certificate and the scans at
-# x = 0 and 1 take O(n^2) mask operations plus one OR per member of each
-# distinct mask they scale or sum, O(n^2) on tables with cells of bounded
-# size, such as the triple-sum and pair hyperfields.  A table whose
+# (GF(2^k) has k), so it is O(n^2 log n); the certificate, the CH1 theorem
+# and the CH5 scans at x = 0 and 1 take O(n^2) mask operations plus one OR
+# per member of each distinct mask they scale or sum, O(n^2) on cells of
+# bounded size, such as the triple-sum and pair hyperfields.  A table whose
 # multiplication is one cell off a group's keeps the automorphisms of the
 # intact rows, so CH1 and CH5 scan 0 and the few leaders of the group those
 # generate, and KR3 scans the greedy generators and the x below its witness
@@ -415,10 +415,9 @@ class _fact:
 
 
 class _Table:
-    """One verify() call's view of a table, which the enumeration kernel
-    also builds for its scans at x = 1: n, hyperadd and mul as given (tuple
-    or list rows), and the facts the axiom checks share, each computed at
-    most once."""
+    """One verify() call's view of a table: n, hyperadd and mul as given
+    (tuple or list rows), and the facts the axiom checks share, each
+    computed at most once."""
 
     def __init__(self, n, hyperadd, mul):
         self.n, self.hyperadd, self.mul = n, hyperadd, mul
@@ -510,24 +509,42 @@ def _ch1_scan(t, xs):
             row = tuple(map(left, hyperadd[y]))
             m = hx[y]
             other = sums.get(m)
-            if other is None:  # tuple(): the kernel's rows are lists
+            if other is None:  # tuple(): a candidate's rows may be lists
                 other = sums[m] = tuple(reduce(_or_rows, map(hyperadd.__getitem__, members[m])))
             if row != other:
                 return (x, y, _first_difference(row, other)), "regrouped sums differ"
     return None
 
 
+def _asymmetry(rows, cols):
+    """The first (x, y) with rows[x][y] != cols[x][y], or None, given the
+    columns cols of rows: the first row unlike its column differs at y > x."""
+    for x, row in enumerate(map(tuple, rows)):
+        if row != cols[x]:
+            return x, _first_difference(row, cols[x])
+    return None
+
+
+def _ch1_symmetry(hyperadd):
+    """CH1 given the certificate, CH2 and CH3: None when M[a][u] = v(a) (+) u,
+    the OR of the rows of v(a)'s members, is symmetric, else its first (a, u)."""
+    # By the certificate CH1 need only hold at x = 1 (see the comment on the
+    # checks).  (1, y, z) with y != 0 scales by a = y^-1 to (a (+) 1) (+) u
+    # against a (+) (1 (+) u), u = a.z, which CH2 turns into v(a) (+) u
+    # against v(u) (+) a; y = 0 holds by CH3.
+    rows = [reduce(_or_rows, map(hyperadd.__getitem__, iter_bits(m))) for m in hyperadd[1]]
+    return _asymmetry(rows, tuple(zip(*rows)))
+
+
 def ch1_violation(t):
+    if t.scales and ch2_violation(t) is None and _ch1_symmetry(t.hyperadd) is None:
+        return None
     return _ch1_scan(t, t.leaders[1:] if ch3_violation(t) is None else t.leaders)
 
 
 def ch2_violation(t):
-    # The first row x that differs from its column does so first at y > x.
-    cols = tuple(zip(*t.hyperadd))
-    for x, row in enumerate(map(tuple, t.hyperadd)):
-        if row != cols[x]:
-            return (x, _first_difference(row, cols[x])), "sum not symmetric"
-    return None
+    hit = _asymmetry(t.hyperadd, tuple(zip(*t.hyperadd)))
+    return None if hit is None else (hit, "sum not symmetric")
 
 
 def ch3_violation(t):
@@ -629,12 +646,10 @@ def kr3_violation(t):
 
 
 def hf1_violation(t):
-    rows, cols = t.rows, t.cols  # as in CH2, the first x has its witness at y > x
-    for x, row in enumerate(rows):
-        if row != cols[x]:
-            return (x, _first_difference(row, cols[x])), "multiplication not commutative"
-    if rows[1] != tuple(range(t.n)):
-        return (_first_difference(rows[1], range(t.n)),), "one not identity"
+    if (hit := _asymmetry(t.rows, t.cols)) is not None:
+        return hit, "multiplication not commutative"
+    if t.rows[1] != tuple(range(t.n)):
+        return (_first_difference(t.rows[1], range(t.n)),), "one not identity"
     return None
 
 
@@ -777,10 +792,10 @@ def verify(c: HyperfieldCandidate) -> AxiomReport:
     four cubic deciders try a theorem first and scan second (see the
     comment on the axiom checks): KR1 Light's test, else a row scan; KR3
     the scaling-identity certificate, else the x that no composition of
-    distributive multiplications certifies; CH1 and CH5 one x per orbit of
-    the automorphisms of (+), 0 and 1 under the certificate.  A hyperfield
-    with cells of bounded size passes in O(n^2 log n); a table whose
-    hyperaddition breaks the automorphisms can cost O(n^3).
+    distributive multiplications certifies; CH1 the symmetry of
+    v(a) (+) u, else, as CH5, one x per orbit of the automorphisms of (+).
+    A hyperfield with cells of bounded size passes in O(n^2 log n); a
+    table whose hyperaddition breaks the automorphisms can cost O(n^3).
     """
     validate_candidate(c)
     t = _Table(c.n, c.hyperadd, c.mul)

@@ -18,6 +18,14 @@ from .core import Hyperfield, element_orders, group_isomorphisms, iter_bits, req
 from .galois import abelian_group_orders, abelian_group_tables
 
 
+def _carried(v, tau):
+    """tau.v.tau^-1: the row of tau(z) is the image of v(z) under tau."""
+    row = [0] * len(v)
+    for z, mask in enumerate(v):
+        row[tau[z]] = sum(1 << tau[w] for w in iter_bits(mask))
+    return row
+
+
 def fingerprint(h: Hyperfield) -> tuple:
     """A complete invariant: verified hyperfields get equal values exactly
     when they are isomorphic.  The value is (n, sorted orders of the nonzero
@@ -29,15 +37,7 @@ def fingerprint(h: Hyperfield) -> tuple:
     n, mul, v = h.n, h.mul, h.hyperadd[1]
     orders = tuple(sorted(element_orders(n, mul)[1:]))
     table = abelian_group_tables(n - 1)[abelian_group_orders(n - 1).index(orders)]
-
-    def carried(tau):
-        # tau.v.tau^-1: the row of tau(z) is the image of v(z) under tau.
-        row = [0] * n
-        for z, mask in enumerate(v):
-            row[tau[z]] = sum(1 << tau[w] for w in iter_bits(mask))
-        return row
-
-    return (n, orders, tuple(min(map(carried, group_isomorphisms(n, mul, table)))))
+    return (n, orders, tuple(min(_carried(v, tau) for tau in group_isomorphisms(n, mul, table))))
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,8 @@ class IsoWitness:
 
 def is_isomorphism(c1, c2, perm) -> bool:
     """Is perm a bijection on 0..n-1 that preserves both tables?  Accepts
-    candidates or hyperfields."""
+    candidates or hyperfields.  It serves candidates that are not verified:
+    are_isomorphic reads row 1 alone.  bench/spans.py wraps it."""
     n = c1.n
     if c2.n != n or sorted(perm) != list(range(n)):
         return False
@@ -70,13 +71,15 @@ def are_isomorphic(h1: Hyperfield, h2: Hyperfield) -> Optional[IsoWitness]:
     """The lexicographically first isomorphism witness, or None.
 
     Group isomorphisms of the nonzero parts come in lexicographic order, so
-    the first one that also preserves the hyperaddition is the answer.
+    the first that carries row 1 onto row 1 (mul and row 1 fix a verified
+    hyperfield, so it preserves the hyperaddition) is the answer.
     """
     h1 = require_verified(h1)
     h2 = require_verified(h2)
     if h1.n != h2.n:
         return None
+    v1, v2 = h1.hyperadd[1], list(h2.hyperadd[1])
     for perm in group_isomorphisms(h1.n, h1.mul, h2.mul):
-        if is_isomorphism(h1.candidate, h2.candidate, perm):
+        if _carried(v1, perm) == v2:
             return IsoWitness(perm)
     return None

@@ -227,8 +227,9 @@ def flat():
 
 
 class TestKernelFilters:
-    """The kernel prunes on CH5 at x = 1 between pairs of rows and filters
-    its leaves at x = 1; the flat oracle applies no prune and scans every x."""
+    """The kernel prunes on CH5 at x = 1 between pairs of rows and tests its
+    leaves by the CH1 symmetry theorem; the flat oracle applies no prune and
+    scans every x."""
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_run_shard_equals_the_flat_oracle(self, flat, n):
@@ -243,22 +244,23 @@ class TestKernelFilters:
             30752, 30638, 114, 71, 43)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
-    def test_pair_prune_leaves_no_ch5_failure(self, flat, monkeypatch, n):
-        """Every map that reaches a leaf passes CH5: the prune is complete."""
-        leaves = [0, 0]
-        scan = enumeration.ch5_violation
+    def test_every_leaf_passes_ch5(self, flat, monkeypatch, n):
+        """The pair prune is complete: every expanded leaf passes the full
+        CH5 scan, and the leaves are exactly the flat oracle's maps that
+        pass CH5."""
+        leaves = []
+        expand = enumeration._expand
 
-        def counting(table, xs):
-            hit = scan(table, xs)
-            leaves[0] += 1
-            leaves[1] += hit is not None
-            return hit
+        def collecting(n, mul, *args):
+            hyperadd = expand(n, mul, *args)
+            leaves.append(core._Table(n, hyperadd, mul))
+            return hyperadd
 
-        monkeypatch.setattr(enumeration, "ch5_violation", counting)
+        monkeypatch.setattr(enumeration, "_expand", collecting)
         for shard, _ in flat[n]:
             enumeration._run_shard(shard)
-        passing = sum(s - r5 for _, (s, _, r5, _) in flat[n])
-        assert leaves == [passing, 0]
+        assert all(core._ch5_scan(t, range(n)) is None for t in leaves)
+        assert len(leaves) == sum(s - r5 for _, (s, _, r5, _) in flat[n])
 
 
 class TestBudget:

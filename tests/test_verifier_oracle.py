@@ -362,11 +362,14 @@ def test_every_expanded_one_row_table(n, mul):
     """On every table expanded from a one-row map over the group: CH5 at
     x = 1 against the full CH5 (a failure at x = 1 must be a real one, and
     a pass at x = 1 a pass everywhere); CH1 at x = 1 against the full CH1
-    (at order 5 where CH5 passes, which keeps the scan short); and Light's
-    test and the certificate where the six O(n^2) checks pass.  The
-    expansion builds in the scaling identity, so the reductions to x = 1
-    are theorems here."""
-    count = ch5_failures = decided = 0
+    (at order 5 where CH5 passes, which keeps the scan short); the CH1
+    decider against the oracle at orders 3 and 4, and the symmetry theorem
+    against the full CH1 at order 5 where CH2 holds; and Light's test and
+    the certificate where the six O(n^2) checks pass.  The expansion builds
+    in the scaling identity, so the reductions to x = 1 are theorems here.
+    Some tables fail CH2 and CH1 with M symmetric, so the theorem needs its
+    CH2 premise."""
+    count = ch5_failures = decided = unguarded = 0
     for masks, hyperadd in expanded_tables(n, mul):
         count += 1
         if n < 5:
@@ -381,11 +384,19 @@ def test_every_expanded_one_row_table(n, mul):
         if n < 5 or hit is None:
             ch1 = core._ch1_scan(table, range(n)) is None
             assert (core._ch1_scan(table, (1,)) is None) == ch1, masks
+        if n < 5:
+            ch1_hit = ch1_oracle(n, hyperadd, mul)
+            assert core.ch1_violation(table) == ch1_hit, masks
+            unguarded += core._ch1_symmetry(hyperadd) is None and ch1_hit is not None
         if core.ch2_violation(table) is None:  # the other five hold by expansion
             decided += 1
+            if n == 5:
+                symmetric = core._ch1_symmetry(hyperadd) is None
+                assert symmetric == (core._ch1_scan(table, range(n)) is None), masks
             assert_steps_agree(HyperfieldCandidate(n, tuple(map(tuple, hyperadd)), mul))
     assert count == (n - 1) * 2 ** (n - 1) * (2 ** (n - 1) - 1) ** (n - 2)
     assert 0 < ch5_failures < count and decided > 0
+    assert unguarded == {3: 1, 4: 28, 5: 0}[n]
 
 
 def random_commutative_loop(n, rng):

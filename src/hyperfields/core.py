@@ -441,6 +441,11 @@ class _Table:
         return tuple(zip(*t.mul))
 
     @_fact
+    def asymmetry(t):
+        """The first cell (x, y) with x (+) y != y (+) x, or None."""
+        return _asymmetry(t.hyperadd, tuple(zip(*t.hyperadd)))
+
+    @_fact
     def neutral(t):
         """(0 is two-sided absorbing, 1 is a two-sided identity) in mul."""
         rows, cols = t.rows, t.cols
@@ -537,14 +542,13 @@ def _ch1_symmetry(hyperadd):
 
 
 def ch1_violation(t):
-    if t.scales and ch2_violation(t) is None and _ch1_symmetry(t.hyperadd) is None:
+    if t.scales and t.asymmetry is None and _ch1_symmetry(t.hyperadd) is None:
         return None
     return _ch1_scan(t, t.leaders[1:] if ch3_violation(t) is None else t.leaders)
 
 
 def ch2_violation(t):
-    hit = _asymmetry(t.hyperadd, tuple(zip(*t.hyperadd)))
-    return None if hit is None else (hit, "sum not symmetric")
+    return None if t.asymmetry is None else (t.asymmetry, "sum not symmetric")
 
 
 def ch3_violation(t):

@@ -104,6 +104,14 @@ class TestConstruct:
         assert run_cli(capsys, "construct", "--method", "massouros", "--field", "x")[0] == 2
         assert run_cli(capsys, "construct", "--method", "massouros", "--field", "4,1")[0] == 2
 
+    def test_field_above_capacity_is_exit_three_before_any_primality_test(self, capsys, monkeypatch):
+        # trial division of the Mersenne prime 2^61 - 1 would run for minutes
+        monkeypatch.setattr("hyperfields.galois.is_prime", None)
+        code, _, err = run_cli(capsys, "construct", "--method", "massouros",
+                               "--field", f"{2**61 - 1},1")
+        assert code == 3
+        assert "exceeds" in err
+
 
 class TestVerify:
     def test_golden_passes(self, capsys):

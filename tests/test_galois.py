@@ -1,5 +1,9 @@
+import hashlib
+import json
+import re
 from dataclasses import replace
 from itertools import product as iproduct
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +20,9 @@ from hyperfields import (
 
 SMALL_PRIME_POWERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3),
                       (3, 2), (11, 1), (13, 1), (2, 4)]  # every p**k <= 16
+# every extension field of order at most 256
+EXTENSIONS = [(p, k) for p in (2, 3, 5, 7, 11, 13) for k in range(2, 9) if p ** k <= 256]
+GOLDEN = Path(__file__).resolve().parent.parent / "golden"
 
 
 def naive_is_prime(n):
@@ -84,6 +91,14 @@ class TestGf:
     def test_composite_p_rejected(self):
         with pytest.raises(DomainError, match="p not prime"):
             gf(4, 1)
+        with pytest.raises(DomainError, match="p not prime"):
+            gf(9, 2)
+
+    def test_huge_p_fails_on_capacity_before_any_primality_test(self, monkeypatch):
+        # trial division of the Mersenne prime 2^61 - 1 would run for minutes
+        monkeypatch.setattr("hyperfields.galois.is_prime", None)
+        with pytest.raises(CapacityError, match="exceeds"):
+            gf(2**61 - 1)
 
     def test_capacity_bounds(self):
         with pytest.raises(CapacityError):
@@ -105,6 +120,30 @@ class TestGf:
         assert f.labels[0] == (0, 0)
         assert f.labels[1] == (1, 0)
 
+    def test_tables_match_the_digests_pinned_before_exp_log(self):
+        """golden/field_sha256.json holds, for every extension field of order
+        at most 1024 and every GF(p) with p <= 256, one sha256 over (add,
+        mul, labels, modulus) as the polynomial-arithmetic builder made them."""
+        pinned = json.loads((GOLDEN / "field_sha256.json").read_text(encoding="utf-8"))
+        got = {}
+        for name in pinned:
+            f = gf(*map(int, re.findall(r"\d+", name)))
+            got[name] = hashlib.sha256(
+                repr((f.add, f.mul, f.labels, f.modulus)).encode()).hexdigest()
+        assert got == pinned
+
+    @pytest.mark.parametrize("p,k", EXTENSIONS)
+    def test_tables_match_polynomial_arithmetic(self, p, k):
+        f = gf(p, k)
+        modulus = oracle_modulus(p, k)
+        assert f.modulus == modulus
+        vecs = [oracle_vector(i, p, k) for i in range(f.q)]
+        assert f.labels == tuple(vecs)
+        assert f.add == tuple(tuple(oracle_number([(x + y) % p for x, y in zip(a, b)], p)
+                                    for b in vecs) for a in vecs)
+        assert f.mul == tuple(tuple(oracle_number(oracle_product(a, b, modulus, p), p)
+                                    for b in vecs) for a in vecs)
+
     def test_neg_and_inv(self):
         f = gf(7)
         for a in range(7):
@@ -113,6 +152,49 @@ class TestGf:
             assert f.mul[a][f.inv(a)] == 1
         with pytest.raises(DomainError):
             f.inv(0)
+
+
+# --- an oracle for GF(p^k) by polynomial arithmetic: it shares no code with gf
+
+
+def oracle_vector(i, p, k):
+    """The coefficients of element i, low degree first."""
+    return tuple(i // p ** d % p for d in range(k))
+
+
+def oracle_number(vec, p):
+    return sum(c * p ** d for d, c in enumerate(vec))
+
+
+def oracle_remainder(a, m, p):
+    """a mod the monic m, padded to len(m) - 1 coefficients."""
+    a = list(a)
+    for top in range(len(a) - 1, len(m) - 2, -1):
+        lead, shift = a[top], top - (len(m) - 1)
+        for d, c in enumerate(m):
+            a[shift + d] = (a[shift + d] - lead * c) % p
+    return (a + [0] * len(m))[:len(m) - 1]
+
+
+def oracle_product(a, b, m, p):
+    """a.b by convolution, then reduction mod m."""
+    conv = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] = (conv[i + j] + x * y) % p
+    return oracle_remainder(conv, m, p)
+
+
+def oracle_modulus(p, k):
+    """The monic irreducible of degree k over GF(p) whose lower coefficients
+    have the smallest index: the first with no monic divisor of degree
+    1..k/2, coefficients compared high degree first."""
+    def monic(d):
+        return [oracle_vector(i, p, d) + (1,) for i in range(p ** d)]
+
+    return next(m for m in monic(k)
+                if all(any(oracle_remainder(m, g, p))
+                       for d in range(1, k // 2 + 1) for g in monic(d)))
 
 
 class TestVerifyField:

@@ -26,8 +26,9 @@ from .core import (
     Hyperfield,
     HyperfieldCandidate,
     OneRowMap,
+    _images,
+    _members,
     expand_one_row,
-    iter_bits,
     mask_of,
     require_verified,
     span,
@@ -90,22 +91,20 @@ def quotient(f: FieldTable, g: SubgroupSpec) -> Hyperfield:
     if g.field is not f and (g.field.add != f.add or g.field.mul != f.mul):
         raise DomainError("subgroup was built over a different field")
     q = f.q
-    # Carrier: the zero coset {0} at index 0, G itself at index 1, the rest
-    # ordered by their smallest field element.
-    cosets = {frozenset((0,))}
-    for a in range(1, q):
-        cosets.add(frozenset(f.mul[a][s] for s in g.closure))
-    ordered = sorted(cosets, key=min)
+    # Carrier: the zero coset {0} at index 0, then each coset at its smallest
+    # element, in one ascending pass: G, which holds 1, lands at index 1.
     coset_of = [0] * q
-    for idx, coset in enumerate(ordered):
-        for elem in coset:
-            coset_of[elem] = idx
-    n = len(ordered)
-    reps = [min(c) for c in ordered]
+    reps = [0]
+    for a in range(1, q):
+        if not coset_of[a]:
+            for s in g.closure:
+                coset_of[f.mul[a][s]] = len(reps)
+            reps.append(a)
+    n = len(reps)
     mul = [[coset_of[f.mul[a][b]] for b in reps] for a in reps]
-    # v(j) = the cosets that meet G + rG, r = reps[j], with G = ordered[1].
-    # G + rg = g.(G + r) meets the same cosets as G + r, so r alone will do.
-    v = tuple(mask_of(coset_of[f.add[u][r]] for u in ordered[1]) for r in reps)
+    # v(j) = the cosets that meet G + rG, r = reps[j].  G + rg = g.(G + r)
+    # meets the same cosets as G + r, so r alone will do.
+    v = tuple(mask_of(coset_of[f.add[u][r]] for u in g.closure) for r in reps)
     c = expand_one_row(mul, OneRowMap(n, v))
     return _verify_or_raise(c, f"quotient of GF({q}) by subgroup of size {len(g.closure)}")
 
@@ -136,35 +135,19 @@ def product_candidate(h1: Hyperfield, h2: Hyperfield) -> HyperfieldCandidate:
     h1 = require_verified(h1)
     h2 = require_verified(h2)
     n1, n2 = h1.n, h2.n
-    n = n1 * n2
-    index = {}
-    nxt = 2
-    for i in range(n1):
-        for j in range(n2):
-            if (i, j) == (0, 0):
-                index[i, j] = 0
-            elif (i, j) == (1, 1):
-                index[i, j] = 1
-            else:
-                index[i, j] = nxt
-                nxt += 1
-    pairs = sorted(index, key=index.get)
+    pairs = [(0, 0), (1, 1)] + [(i, j) for i in range(n1) for j in range(n2)
+                                if (i, j) not in ((0, 0), (1, 1))]
+    index = {pair: k for k, pair in enumerate(pairs)}
 
-    # Componentwise masks are translated through the pair indexing.
-    hyperadd = [[0] * n for _ in range(n)]
-    mul = [[0] * n for _ in range(n)]
-    for (a, b) in pairs:
-        x = index[a, b]
-        for (c, d) in pairs:
-            y = index[c, d]
-            members = 0
-            for i in iter_bits(h1.hyperadd[a][c]):
-                for j in iter_bits(h2.hyperadd[b][d]):
-                    members |= 1 << index[i, j]
-            hyperadd[x][y] = members
-            mul[x][y] = index[h1.mul[a][c], h2.mul[b][d]]
-
-    return HyperfieldCandidate(n, tuple(map(tuple, hyperadd)), tuple(map(tuple, mul)))
+    # Componentwise masks are translated through the pair indexing:
+    # cells[m2][m1] is the mask of the pairs (i, j) with i in m1 and j in m2.
+    members1, members2 = _members(h1.hyperadd), _members(h2.hyperadd)
+    across = [_images(members2, [1 << index[i, j] for j in range(n2)]) for i in range(n1)]
+    cells = {m2: _images(members1, [row[m2] for row in across]) for m2 in members2}
+    hyperadd = tuple(tuple(cells[h2.hyperadd[b][d]][h1.hyperadd[a][c]] for c, d in pairs)
+                     for a, b in pairs)
+    mul = tuple(tuple(index[h1.mul[a][c], h2.mul[b][d]] for c, d in pairs) for a, b in pairs)
+    return HyperfieldCandidate(n1 * n2, hyperadd, mul)
 
 
 def product(h1: Hyperfield, h2: Hyperfield) -> Hyperfield:

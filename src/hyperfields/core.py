@@ -332,9 +332,9 @@ def group_isomorphisms(n, mul1, mul2) -> Iterator[tuple[int, ...]]:
 # "x . -" or "- . x" is the union of the images of its members, so for each
 # x every mask's image is computed once into a dict that is dropped before
 # the next x.  For CH1, the row (x (+) y) (+) z over z depends only on the
-# mask x (+) y, so it is built once per distinct mask as the OR of the rows
-# of its members.  Cells must be nonempty, which validate_candidate() and
-# the enumeration kernel's expansion guarantee.
+# mask x (+) y, so it is built once per distinct mask by _sum_row() as the
+# OR of the rows of its members.  Cells must be nonempty there, which
+# validate_candidate() and the enumeration kernel's expansion guarantee.
 #
 # Cost on a hyperfield: Light's test compares n-2 rows of length n per
 # greedy generator, and a group of order n-1 has at most log2(n-1) of those
@@ -358,13 +358,20 @@ def _members(hyperadd):
 
 
 def _images(members, parts):
-    """Each mask of the table -> the OR of parts[w] over its members w."""
+    """Each mask of the table -> the OR of parts[w] over its members w (the
+    empty mask -> 0).  With parts[w] = 1 << p[w] it carries masks along p."""
     get = parts.__getitem__
-    return {m: reduce(or_, map(get, bits)) for m, bits in members.items()}
+    return {m: reduce(or_, map(get, bits), 0) for m, bits in members.items()}
 
 
 def _or_rows(a, b):
     return tuple(map(or_, a, b))
+
+
+def _sum_row(hyperadd, bits):
+    """The row m (+) z over z of a mask m with members bits: the OR of their
+    rows, as a tuple (a candidate's rows may be lists)."""
+    return tuple(reduce(_or_rows, map(hyperadd.__getitem__, bits)))
 
 
 def _first_difference(a, b):
@@ -514,8 +521,8 @@ def _ch1_scan(t, xs):
             row = tuple(map(left, hyperadd[y]))
             m = hx[y]
             other = sums.get(m)
-            if other is None:  # tuple(): a candidate's rows may be lists
-                other = sums[m] = tuple(reduce(_or_rows, map(hyperadd.__getitem__, members[m])))
+            if other is None:
+                other = sums[m] = _sum_row(hyperadd, members[m])
             if row != other:
                 return (x, y, _first_difference(row, other)), "regrouped sums differ"
     return None
@@ -537,7 +544,7 @@ def _ch1_symmetry(hyperadd):
     # checks).  (1, y, z) with y != 0 scales by a = y^-1 to (a (+) 1) (+) u
     # against a (+) (1 (+) u), u = a.z, which CH2 turns into v(a) (+) u
     # against v(u) (+) a; y = 0 holds by CH3.
-    rows = [reduce(_or_rows, map(hyperadd.__getitem__, iter_bits(m))) for m in hyperadd[1]]
+    rows = [_sum_row(hyperadd, iter_bits(m)) for m in hyperadd[1]]
     return _asymmetry(rows, tuple(zip(*rows)))
 
 
@@ -845,18 +852,13 @@ def require_verified(h) -> Hyperfield:
 
 
 def relabel(c: HyperfieldCandidate, perm: tuple[int, ...]) -> HyperfieldCandidate:
-    """Apply a carrier bijection: new index of old element i is perm[i]."""
+    """Apply a carrier bijection: new index of old element i is perm[i].
+    Each distinct mask is carried once; new row i is old row perm^-1(i)."""
     n = c.n
     if len(perm) != n or sorted(perm) != list(range(n)):
         raise DomainError("perm must be a bijection on 0..n-1")
-    hyperadd = [[0] * n for _ in range(n)]
-    mul = [[0] * n for _ in range(n)]
-    for a in range(n):
-        pa = perm[a]
-        for b in range(n):
-            img = 0
-            for w in iter_bits(c.hyperadd[a][b]):
-                img |= 1 << perm[w]
-            hyperadd[pa][perm[b]] = img
-            mul[pa][perm[b]] = perm[c.mul[a][b]]
+    back = sorted(range(n), key=perm.__getitem__)  # perm^-1
+    carry = _images(_members(c.hyperadd), [1 << p for p in perm]).__getitem__
+    hyperadd = (map(carry, map(c.hyperadd[a].__getitem__, back)) for a in back)
+    mul = (map(perm.__getitem__, map(c.mul[a].__getitem__, back)) for a in back)
     return HyperfieldCandidate(n, tuple(map(tuple, hyperadd)), tuple(map(tuple, mul)))

@@ -12,9 +12,11 @@ Wire format: a single JSON document, version 1,
     }
 
 Hyperaddition cells are sorted index arrays (human-diffable archives beat
-compactness at this scale).  The parser enforces structure only -- shape,
-index ranges, nonempty sorted cells, and the normalization that zero
-behaves as index 0 and one as index 1; axiom checking stays on demand.
+compactness at this scale); to_document() and pretty_table() decode each
+distinct cell mask once through core._members.  The parser enforces
+structure only -- shape, index ranges, nonempty sorted cells, and the
+normalization that zero behaves as index 0 and one as index 1; axiom
+checking stays on demand.
 render_document() emits one canonical byte form, so parse-then-render is
 the identity on rendered files.
 """
@@ -28,7 +30,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import Optional
 
-from .core import Hyperfield, HyperfieldCandidate, iter_bits, mask_of
+from .core import Hyperfield, HyperfieldCandidate, _members
 from .errors import DomainError, HyperfieldError
 
 FORMAT_VERSION = 1
@@ -82,13 +84,13 @@ def to_document(c, labels=None, metadata: Optional[str] = None) -> HyperfieldDoc
         labels = tuple(str(x) for x in labels)
         if len(labels) != c.n:
             raise DomainError(f"expected {c.n} labels, got {len(labels)}")
-    hyperadd = tuple(tuple(tuple(iter_bits(m)) for m in row) for row in c.hyperadd)
+    cells = _members(c.hyperadd).__getitem__
+    hyperadd = tuple(tuple(map(cells, row)) for row in c.hyperadd)
     return HyperfieldDocument(FORMAT_VERSION, c.n, c.mul, hyperadd, labels, metadata)
 
 
 def candidate_from_document(doc: HyperfieldDocument) -> HyperfieldCandidate:
-    rows = tuple(tuple(mask_of(cell) for cell in row) for row in doc.hyperadd)
-    return HyperfieldCandidate(doc.order, rows, doc.mul)
+    return HyperfieldCandidate.from_sets(doc.order, doc.hyperadd, doc.mul)
 
 
 def render_document(doc: HyperfieldDocument) -> str:
@@ -106,7 +108,7 @@ def render_document(doc: HyperfieldDocument) -> str:
     out.append('  "hyperadd": [')
     for i, row in enumerate(doc.hyperadd):
         comma = "," if i + 1 < len(doc.hyperadd) else ""
-        out.append(f"    {json.dumps([list(cell) for cell in row])}{comma}")
+        out.append(f"    {json.dumps(list(row))}{comma}")  # tuple cells encode as arrays
     tail = "," if doc.metadata is not None else ""
     out.append(f"  ]{tail}")
     if doc.metadata is not None:
@@ -249,8 +251,9 @@ def pretty_table(c, labels=None) -> str:
         if len(labels) != c.n:
             raise DomainError(f"expected {c.n} labels, got {len(labels)}")
 
-    add_rows = [["{" + ",".join(labels[i] for i in iter_bits(m)) + "}"
-                 for m in row] for row in c.hyperadd]
+    text = {m: "{" + ",".join(map(labels.__getitem__, bits)) + "}"
+            for m, bits in _members(c.hyperadd).items()}
+    add_rows = [list(map(text.__getitem__, row)) for row in c.hyperadd]
     mul_rows = [[labels[v] for v in row] for row in c.mul]
     lines = _grid("⊕", labels, add_rows)
     lines.append("")

@@ -47,6 +47,14 @@ def five_element_candidate() -> HyperfieldCandidate:
     return HyperfieldCandidate.from_sets(5, FIVE_ADD, FIVE_MUL)
 
 
+def mutated_five(cells):
+    """The five-element table with the given cells overwritten."""
+    add = [list(map(list, row)) for row in FIVE_ADD]
+    for (x, y), value in cells.items():
+        add[x][y] = value
+    return HyperfieldCandidate.from_sets(5, add, FIVE_MUL)
+
+
 @pytest.fixture(scope="session")
 def five_candidate():
     return five_element_candidate()

@@ -22,15 +22,7 @@ from hyperfields import (
     verify,
 )
 from hyperfields import core
-from conftest import FIVE_ADD, FIVE_MUL, one_row_reconstruction_ok
-
-
-def mutated_five(cells):
-    """The five-element table with the given cells overwritten."""
-    add = [list(map(list, row)) for row in FIVE_ADD]
-    for (x, y), value in cells.items():
-        add[x][y] = value
-    return HyperfieldCandidate.from_sets(5, add, FIVE_MUL)
+from conftest import mutated_five, one_row_reconstruction_ok
 
 
 class TestElementSet:

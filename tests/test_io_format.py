@@ -14,6 +14,7 @@ from hyperfields import (
     from_field,
     gf,
     massouros,
+    pair_hyperfield,
     parse_document,
     pretty_table,
     render_document,
@@ -68,6 +69,38 @@ class TestRoundTrip:
 
     def test_rendering_is_deterministic(self, five_candidate):
         assert doc_text(five_candidate) == doc_text(five_candidate)
+
+
+# Masks repeat across the cells of the triple-sum table and are mostly
+# distinct in the pair table, so the codec's decode-once table meets both.
+CODEC_CASES = {"massouros64": massouros(gf(2, 6)), "pair40": pair_hyperfield(40)}
+
+
+@pytest.mark.parametrize("name", CODEC_CASES)
+class TestCellCodec:
+    """Every cell the codec writes against a per-cell decode by cell()."""
+
+    def test_document_cells_match(self, name):
+        c = CODEC_CASES[name].candidate
+        hyperadd = to_document(c).hyperadd
+        for a in range(c.n):
+            for b in range(c.n):
+                assert hyperadd[a][b] == c.cell(a, b)
+
+    def test_candidate_round_trip(self, name):
+        c = CODEC_CASES[name].candidate
+        assert candidate_from_document(to_document(c)) == c
+
+    def test_pretty_table_cells_match(self, name):
+        c = CODEC_CASES[name].candidate
+        labels = default_labels(c.n)
+        add_grid = pretty_table(c).split("\n\n")[0].split("\n")
+        assert len(add_grid) == c.n + 1
+        for a, line in enumerate(add_grid[1:]):
+            label, *cells = [part.strip() for part in line.split(" | ")]
+            assert label == labels[a]
+            want = ["{" + ",".join(labels[w] for w in c.cell(a, b)) + "}" for b in range(c.n)]
+            assert cells == want
 
 
 class TestGoldenFiles:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyperfields import (
+    HyperfieldCandidate,
     PreconditionError,
     abelian_groups,
     are_isomorphic,
@@ -14,12 +15,14 @@ from hyperfields import (
     is_isomorphism,
     massouros,
     pair_hyperfield,
+    quotient,
     relabel,
+    subgroup_closure,
     verified,
 )
-from hyperfields import galois
+from hyperfields import galois, iso
 from hyperfields.core import group_isomorphisms, span
-from conftest import brute_isomorphic, preserves_structure
+from conftest import brute_isomorphic, mutated_five, preserves_structure
 
 
 @st.composite
@@ -197,6 +200,123 @@ class TestIsIsomorphism:
                              ids=["constant-zero", "repeated-entry", "out-of-range"])
     def test_rejects_maps_that_are_not_bijections(self, five, perm):
         assert not is_isomorphism(five.candidate, five.candidate, perm)
+
+
+def _with_list_rows(c, mul_cells=()):
+    """c with list rows, as a table built by hand has, and the given mul
+    cells overwritten."""
+    mul = [list(row) for row in c.mul]
+    for (x, y), value in mul_cells:
+        mul[x][y] = value
+    return HyperfieldCandidate(c.n, [list(row) for row in c.hyperadd], mul)
+
+
+def _inverse(perm):
+    back = [0] * len(perm)
+    for i, p in enumerate(perm):
+        back[p] = i
+    return tuple(back)
+
+
+# Tables that verify() rejects: cells robbed, grown or emptied on one side
+# only, and a mul cell rewritten.
+UNVERIFIED = {
+    "one-sided": _with_list_rows(mutated_five({(1, 2): [1]})),
+    "grown-and-robbed": _with_list_rows(mutated_five({(2, 3): [0, 4], (4, 1): [2]})),
+    "empty-cell": _with_list_rows(mutated_five({(3, 3): []})),
+    "mul-cell": _with_list_rows(mutated_five({(1, 4): [0, 4]}), [((2, 3), 0)]),
+}
+# Bijections that move 0 and 1; all but the last are not involutions, so a
+# relabelling through perm where its inverse belongs shows.
+MOVING_PERMS = [(1, 2, 3, 4, 0), (2, 0, 1, 4, 3), (4, 3, 0, 2, 1), (3, 0, 4, 1, 2),
+                (1, 0, 3, 2, 4)]
+
+
+def _iso_pair_bases():
+    """The base hyperfields of the bench's iso_pairs workload."""
+    f = gf(173)
+    return {"massouros32": massouros(gf(2, 5)), "pair44": pair_hyperfield(44),
+            "quotient173": quotient(f, subgroup_closure(f, (pow(3, 43, 173),)))}
+
+
+ISO_PAIR_BASES = _iso_pair_bases()
+
+
+class TestRelabelAgainstOracle:
+    """relabel and is_isomorphism against conftest.preserves_structure,
+    which re-checks both tables cell by cell with plain sets."""
+
+    @pytest.mark.parametrize("name", UNVERIFIED)
+    @pytest.mark.parametrize("perm", MOVING_PERMS)
+    def test_relabel_preserves_unverified_tables(self, name, perm):
+        c = UNVERIFIED[name]
+        moved = relabel(c, perm)
+        assert preserves_structure(c, moved, perm)
+        assert is_isomorphism(c, moved, perm)
+        back = _inverse(perm)
+        assert relabel(moved, back).hyperadd == tuple(map(tuple, c.hyperadd))
+        assert is_isomorphism(moved, c, back)
+
+    @pytest.mark.parametrize("name", UNVERIFIED)
+    def test_is_isomorphism_agrees_with_the_oracle_on_every_map(self, name):
+        c = UNVERIFIED[name]
+        for sigma in MOVING_PERMS:
+            moved = relabel(c, sigma)
+            verdicts = set()
+            for perm in permutations(range(5)):
+                fast = is_isomorphism(c, moved, perm)
+                assert fast == preserves_structure(c, moved, perm), (sigma, perm)
+                verdicts.add(fast)
+            assert verdicts == {True, False}
+            if sigma != _inverse(sigma):
+                assert not is_isomorphism(c, moved, _inverse(sigma))
+
+    @pytest.mark.parametrize("name", ISO_PAIR_BASES)
+    def test_relabelled_iso_pair_bases(self, name):
+        h = ISO_PAIR_BASES[name]
+        n = h.n
+        rng = random.Random(name)
+        tail = list(range(2, n))
+        rng.shuffle(tail)
+        full = list(range(n))
+        rng.shuffle(full)
+        for perm in ((0, 1, *tail), tuple(full)):
+            moved = relabel(h.candidate, perm)
+            assert preserves_structure(h.candidate, moved, perm)
+            assert is_isomorphism(h, moved, perm)
+            assert not is_isomorphism(h, moved, _inverse(perm))
+            assert not preserves_structure(h.candidate, moved, _inverse(perm))
+
+
+class TestDecodeOnce:
+    """fingerprint and are_isomorphic decode the masks of row 1 once per
+    call, however many group isomorphisms they try."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        calls = []
+        real = iso._members
+
+        def counting(hyperadd):
+            calls.append([list(row) for row in hyperadd])
+            return real(hyperadd)
+
+        monkeypatch.setattr(iso, "_members", counting)
+        return calls
+
+    def test_row_one_decoded_once_per_call(self, monkeypatch):
+        h = massouros(gf(2, 6))
+        n = h.n
+        tail = list(range(2, n))
+        random.Random(64).shuffle(tail)
+        other = verified(relabel(h.candidate, (0, 1, *tail)))
+        assert len(list(group_isomorphisms(n, h.mul, h.mul))) == 36
+        calls = self._counted(monkeypatch)
+        assert fingerprint(h) == fingerprint(other)
+        assert calls == [[list(h.hyperadd[1])], [list(other.hyperadd[1])]]
+        calls.clear()
+        assert are_isomorphic(h, other) is not None
+        assert calls == [[list(h.hyperadd[1])]]
 
 
 # --- slow oracles for the group helpers ------------------------------------

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, islice
+from math import gcd
 from operator import or_
 from typing import Iterable, Iterator, Optional
 
@@ -186,14 +187,20 @@ def inverses(n, mul) -> list[int]:
 
 
 def element_orders(n, mul) -> list[int]:
-    """orders[x] is the multiplicative order of x; orders[0] is 0."""
+    """orders[x] is the multiplicative order of x; orders[0] is 0.  One walk
+    of the powers of an x whose order is not known yet gives the order of
+    each of them, ord(x^i) = ord(x) / gcd(i, ord(x)), so a cyclic group is
+    done in one walk from any generator."""
     orders = [0] * n
     for x in range(1, n):
-        y, k = x, 1
-        while y != 1:
-            y = mul[y][x]
-            k += 1
-        orders[x] = k
+        if orders[x]:
+            continue
+        powers = [x]  # x^1, x^2, ..., ending at 1
+        while powers[-1] != 1:
+            powers.append(mul[powers[-1]][x])
+        k = len(powers)
+        for i, y in enumerate(powers, 1):
+            orders[y] = k // gcd(i, k)
     return orders
 
 
@@ -235,6 +242,8 @@ def group_isomorphisms(n, mul1, mul2) -> Iterator[tuple[int, ...]]:
     edges, a -> a.g mapping to phi(a) -> phi(a).phi(g), and dropped on the
     first contradiction or repeated image; a full choice that survives is a
     homomorphism on a generating set, injective, hence an isomorphism.
+    The search holds no reference cycle, so an abandoned call leaves no
+    garbage for the cyclic collector.
     """
     ord1, ord2 = element_orders(n, mul1), element_orders(n, mul2)
     if sorted(ord1) != sorted(ord2):
@@ -243,6 +252,7 @@ def group_isomorphisms(n, mul1, mul2) -> Iterator[tuple[int, ...]]:
     for x in range(1, n):
         by_order.setdefault(ord2[x], []).append(x)
     gens = list(greedy_generators(n, mul1))
+    choices = [by_order[ord1[g]] for g in gens]
 
     def along_edges(images):
         # phi on the span of gens[:len(images)], or None on a clash.
@@ -263,17 +273,21 @@ def group_isomorphisms(n, mul1, mul2) -> Iterator[tuple[int, ...]]:
                     walk.append(b)
         return phi
 
-    def backtrack(images, phi):
-        if len(images) == len(gens):
-            yield tuple(phi)
-            return
-        for u in by_order[ord1[gens[len(images)]]]:
-            trial = images + [u]
-            extended = along_edges(trial)
-            if extended is not None:
-                yield from backtrack(trial, extended)
+    yield from _extensions(choices, along_edges, [], along_edges([]))
 
-    yield from backtrack([], along_edges([]))
+
+def _extensions(choices, along_edges, images, phi):
+    """The full choices of generator images that extend images, each as its
+    map phi, in lexicographic order.  A module function: a nested generator
+    that calls itself would be a reference cycle with its closure."""
+    if len(images) == len(choices):
+        yield tuple(phi)
+        return
+    for u in choices[len(images)]:
+        trial = images + [u]
+        extended = along_edges(trial)
+        if extended is not None:
+            yield from _extensions(choices, along_edges, trial, extended)
 
 
 # --- axiom checks ------------------------------------------------------
@@ -353,8 +367,11 @@ def group_isomorphisms(n, mul1, mul2) -> Iterator[tuple[int, ...]]:
 
 
 def _members(hyperadd):
-    """Each distinct mask of the table -> its member indices."""
-    return {m: tuple(iter_bits(m)) for m in set(chain.from_iterable(hyperadd))}
+    """Each distinct mask of the table -> its member indices.  The tuples are
+    built from lists: a tuple grown from a generator is resized, which moves
+    it between the interpreter's per-size free lists and so counts toward
+    the next cyclic collection long after it is freed."""
+    return {m: tuple([*iter_bits(m)]) for m in set(chain.from_iterable(hyperadd))}
 
 
 def _images(members, parts):

@@ -1,3 +1,4 @@
+import gc
 import random
 from itertools import combinations, permutations
 
@@ -21,7 +22,7 @@ from hyperfields import (
     verified,
 )
 from hyperfields import galois, iso
-from hyperfields.core import group_isomorphisms, span
+from hyperfields.core import element_orders, group_isomorphisms, span
 from conftest import brute_isomorphic, mutated_five, preserves_structure
 
 
@@ -370,9 +371,24 @@ class TestGroupOracles:
                 rng.shuffle(tail)
                 other = _relabel_mul(mul2, (0, 1, *tail))
                 fast = list(group_isomorphisms(m + 1, mul1, other))
-                assert len(fast) == len(set(fast))
+                assert len(fast) == len(set(fast)) and fast == sorted(fast)
                 assert set(fast) == _brute_group_isomorphisms(mul1, other)
                 assert bool(fast) == (mul1 == mul2)
+
+    @pytest.mark.parametrize("m", [*range(1, 13), 16, 24, 27, 32])
+    def test_element_orders_match_repeated_products(self, m):
+        rng = random.Random(m)
+        for mul in galois.abelian_group_tables(m):
+            tail = list(range(2, m + 1))
+            rng.shuffle(tail)
+            for table in (mul, _relabel_mul(mul, (0, 1, *tail))):
+                expected = [0]
+                for x in range(1, m + 1):
+                    y, k = x, 1
+                    while y != 1:
+                        y, k = table[y][x], k + 1
+                    expected.append(k)
+                assert element_orders(m + 1, table) == expected
 
     @pytest.mark.parametrize("m, i, mul", GROUP_TABLES,
                              ids=[f"m{m}-{i}" for m, i, _ in GROUP_TABLES])
@@ -382,3 +398,20 @@ class TestGroupOracles:
                 walked = span(mul, gens)
                 assert walked[0] == 1 and len(walked) == len(set(walked))
                 assert set(walked) == _fixed_point_closure(mul, gens)
+
+
+def test_isomorphism_searches_leave_no_cyclic_garbage():
+    """A search abandoned at its first witness frees everything by reference
+    counting, so are_isomorphic does not feed the cyclic collector."""
+    h = massouros(gf(2, 4))
+    other = verified(relabel(h.candidate, (0, 1, *range(h.n - 1, 1, -1))))
+    gc.collect()
+    gc.disable()
+    try:
+        next(group_isomorphisms(h.n, h.mul, other.mul))
+        assert are_isomorphic(h, other) is not None
+        assert are_isomorphic(h, h) is not None
+        fingerprint(h)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

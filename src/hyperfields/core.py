@@ -338,6 +338,26 @@ def _extensions(choices, along_edges, images, phi):
 #     stops at the first bijection fixing 0 that does not distribute; with
 #     none found every x is scanned.  CH1 skips x = 0 where CH3 holds, as
 #     0 (+) m = m, and scans nothing where _ch1_symmetry() proves it.
+#   CH1, CH5 and KR3: the rows that leave E.  Where mul is a commutative
+#     group with zero, let E be the expansion of hyperadd's own row 1, and
+#     S the rows where hyperadd differs from E.  E passes CH3, KR1, KR2,
+#     HF1 and HF2 by construction and KR3 by the certificate; where it is
+#     symmetric and its opposites are unique, the symmetry theorem decides
+#     CH1, and CH1 gives CH5: from z in x (+) y, 0 in z' (+) z lies in
+#     (z' (+) x) (+) y, so the one opposite y' of y lies in z' (+) x, and
+#     scaling by 1' gives y in z (+) x', as w' = 1'.w and 1'.1' = 1 (1 is
+#     the opposite of 1'); x in z (+) y' is the same with x and y swapped.
+#     Where E is so a hyperfield, an instance of CH1, CH5 or KR3 that reads
+#     no cell in a row of S evaluates as it does in E, where it holds, so
+#     each violation reads a row of S.  CH1 at (x, y, z) reads the rows of
+#     x, of y and of the members of x (+) y; CH5 reads those and the row of
+#     x', with the opposites read off the table, which are E's outside S;
+#     KR3 reads the rows of y and of x.y = y.x.  So for x not in S, CH1 and
+#     CH5 visit only the y in S and the y with x (+) y meeting S, CH5 every
+#     y also where x' is undefined or in S, and KR3, and the orbit search's
+#     distributivity test, only the y with y or x.y in S.  A y skipped
+#     holds for every z, so each scan keeps its order and returns the same
+#     first witness; masks are decoded only for the rows visited.
 #
 # A scan takes a whole row over z at a time: for fixed x and y each side
 # becomes a sequence over z, built by C-level map() and compared with one
@@ -361,9 +381,21 @@ def _extensions(choices, along_edges, images, phi):
 # generate, and KR3 scans the greedy generators and the x below its witness
 # that no pair reaches: O(n^2 log n) on bounded cells.  A hyperaddition
 # corruption breaks the automorphisms (the cell-size test usually shows it
-# at once), so CH1 and CH5 scan every x up to their witness, O(n^3) when it
-# sits near row n; KR1 is proved by Light's test, and KR3 fails at its
-# first x that does not distribute.
+# at once), so CH1 and CH5 scan every x up to their witness; where row 1
+# still expands to a hyperfield E, each x not in S costs O(n) plus O(n)
+# per y visited, a few y on bounded cells, so a corruption of a few cells
+# costs O(n^2) besides deciding E, O(n^2 log n).  A corrupted row 1
+# usually leaves E no hyperfield, and then the scans visit every y, O(n^3)
+# when the witness sits near row n.  KR1 is proved by Light's test, and
+# KR3 fails at its first x that does not distribute.
+
+
+class _Bits(dict):
+    """Mask -> its member indices, each mask decoded on its first lookup."""
+
+    def __missing__(self, m):
+        bits = self[m] = tuple([*iter_bits(m)])
+        return bits
 
 
 def _members(hyperadd):
@@ -396,13 +428,14 @@ def _first_difference(a, b):
     return next(i for i, (u, v) in enumerate(zip(a, b)) if u != v)
 
 
-def _distribution_rows(t, s):
-    """For each y, the rows over z of s(y (+) z) and of s(y) (+) s(z), where
-    s lists the values of a map of the carrier: s distributes over (+)
-    exactly where the two agree."""
-    scale = _images(t.members, [1 << v for v in s]).__getitem__
-    for y, row in enumerate(t.hyperadd):
-        yield list(map(scale, row)), list(map(t.hyperadd[s[y]].__getitem__, s))
+def _distribution_rows(t, s, ys):
+    """For each y in ys, the rows over z of s(y (+) z) and of s(y) (+) s(z),
+    where s lists the values of a map of the carrier: s distributes over
+    (+) exactly where the two agree."""
+    hyperadd = t.hyperadd
+    scale = _images(_bits_of_rows(t, ys), [1 << v for v in s]).__getitem__
+    for y in ys:
+        yield list(map(scale, hyperadd[y])), list(map(hyperadd[s[y]].__getitem__, s))
 
 
 def _leaders(n, perms):
@@ -492,15 +525,43 @@ class _Table:
                    for s in gens for mx in rows[2:])
 
     @_fact
-    def scales(t):
-        """The certificate: mul is a commutative group with zero and
-        hyperadd is the expansion of its own row 1."""
-        n, rows, hyperadd = t.n, t.rows, t.hyperadd
+    def expansion(t):
+        """E, the expansion of hyperadd's own row 1 by the scaling identity,
+        as lists, or None where mul is not a commutative group with zero
+        (Light's test passes, rows equal columns, every x != 0 has an
+        inverse)."""
+        n, rows = t.n, t.rows
         if not (t.associative and rows == t.cols):
-            return False
+            return None
         inv = inverses(n, rows)
-        return all(inv[1:]) and (_expand(n, rows, inv, *_row_scalars(rows, hyperadd[1]))
-                                 == list(map(list, hyperadd)))
+        return _expand(n, rows, inv, *_row_scalars(rows, t.hyperadd[1])) if all(inv[1:]) else None
+
+    @_fact
+    def scales(t):
+        """The certificate: hyperadd is E."""
+        return t.expansion == list(map(list, t.hyperadd))
+
+    @_fact
+    def suspects(t):
+        """The mask of the rows where hyperadd differs from E, where E is a
+        hyperfield and hyperadd is not E, else None.  The CH1, CH5 and KR3
+        scans then visit only the (x, y) that read one of those rows, and E
+        is a hyperfield where it is symmetric, its opposites are unique and
+        the symmetry theorem proves CH1 (see the comment on the checks)."""
+        e = t.expansion
+        if (e is None or t.scales
+                or any(len(p) != 1 for p in map(_zero_partners, e))
+                or _asymmetry(e, tuple(zip(*e))) is not None
+                or _ch1_symmetry(e) is not None):
+            return None
+        return mask_of(x for x, row in enumerate(t.hyperadd) if list(row) != e[x])
+
+    @_fact
+    def bits(t):
+        """Mask -> its members, for the cells the scans read: members where
+        there are no suspects, as the scans then read every row, else each
+        mask decoded on its first read."""
+        return t.members if t.suspects is None else _Bits()
 
     @_fact
     def leaders(t):
@@ -520,26 +581,59 @@ class _Table:
                 continue
             # an automorphism keeps the size of every cell, which is quick to test first
             if (any(list(map(sizes[row[y]].__getitem__, row)) != sizes[y] for y in range(n))
-                    or any(got != want for got, want in _distribution_rows(t, row))):
+                    or any(got != want for got, want
+                           in _distribution_rows(t, row, _scaled_ys(t, row)))):
                 break
             perms.append(row)
             leaders = _leaders(n, perms)
         return leaders
 
 
+def _sum_ys(t, x, read):
+    """The y at which (x, y, z) can fail CH1 or CH5 for some z, where the
+    instance reads the rows of y, of the members of x (+) y and of the
+    elements in read (None for an undefined opposite): every y without
+    suspects or where read meets them, else each suspect y and each y
+    whose x (+) y has a suspect member."""
+    s = t.suspects
+    if s is None or any(r is None or s >> r & 1 for r in read):
+        return range(t.n)
+    return [y for y, m in enumerate(t.hyperadd[x]) if (m | 1 << y) & s]
+
+
+def _scaled_ys(t, s):
+    """The y at which s(y (+) z) and s(y) (+) s(z) can differ for some z,
+    for a multiplication s: every y without suspects, else each y where y
+    or s(y) is a suspect."""
+    suspects = t.suspects
+    if suspects is None:
+        return range(t.n)
+    return [y for y, sy in enumerate(s) if (1 << y | 1 << sy) & suspects]
+
+
+def _bits_of_rows(t, ys):
+    """bits for the masks in the rows ys of hyperadd, which are every row
+    where there are no suspects."""
+    if t.suspects is None:
+        return t.members
+    bits = t.bits
+    return {m: bits[m] for m in set(chain.from_iterable(map(t.hyperadd.__getitem__, ys)))}
+
+
 def _ch1_scan(t, xs):
     """The first CH1 violation with x in xs."""
-    n, hyperadd, members = t.n, t.hyperadd, t.members
+    hyperadd, bits = t.hyperadd, t.bits
     sums = {}  # mask m -> the row m (+) z over z
     for x in xs:
         hx = hyperadd[x]
-        left = _images(members, hx).__getitem__  # mask m -> x (+) m
-        for y in range(n):
+        ys = _sum_ys(t, x, (x,))
+        left = _images(_bits_of_rows(t, ys), hx).__getitem__  # mask m -> x (+) m
+        for y in ys:
             row = tuple(map(left, hyperadd[y]))
             m = hx[y]
             other = sums.get(m)
             if other is None:
-                other = sums[m] = _sum_row(hyperadd, members[m])
+                other = sums[m] = _sum_row(hyperadd, bits[m])
             if row != other:
                 return (x, y, _first_difference(row, other)), "regrouped sums differ"
     return None
@@ -593,13 +687,13 @@ def ch4_violation(t):
 
 def _ch5_scan(t, xs):
     """The first CH5 violation with x in xs."""
-    n, hyperadd = t.n, t.hyperadd
+    hyperadd = t.hyperadd
     opp = [p[0] if len(p) == 1 else None for p in t.partners]
     for x in xs:
-        xo = opp[x]
-        for y in range(n):
+        xo, hx = opp[x], hyperadd[x]
+        for y in _sum_ys(t, x, (x, xo)):
             yo = opp[y]
-            for z in iter_bits(hyperadd[x][y]):
+            for z in iter_bits(hx[y]):
                 if xo is None or yo is None:
                     return (x, y, z), "opposite undefined"
                 if not hyperadd[xo][z] >> y & 1:
@@ -635,8 +729,9 @@ def kr2_violation(t):
 
 def _kr3_scan(t, x):
     """The first KR3 violation at x."""
-    rows = zip(_distribution_rows(t, t.rows[x]), _distribution_rows(t, t.cols[x]))
-    for y, ((left, left_want), (right, right_want)) in enumerate(rows):
+    ys = _scaled_ys(t, t.rows[x])  # rows[x] is cols[x] where there are suspects
+    rows = zip(ys, _distribution_rows(t, t.rows[x], ys), _distribution_rows(t, t.cols[x], ys))
+    for y, (left, left_want), (right, right_want) in rows:
         if left != left_want or right != right_want:
             for z in range(t.n):
                 if left[z] != left_want[z]:
@@ -822,8 +917,13 @@ def verify(c: HyperfieldCandidate) -> AxiomReport:
     the scaling-identity certificate, else the x that no composition of
     distributive multiplications certifies; CH1 the symmetry of
     v(a) (+) u, else, as CH5, one x per orbit of the automorphisms of (+).
-    A hyperfield with cells of bounded size passes in O(n^2 log n); a
-    table whose hyperaddition breaks the automorphisms can cost O(n^3).
+    Where the expansion E of the table's own row 1 is a hyperfield, every
+    violation of CH1, CH5 or KR3 reads a cell in a row where the table
+    leaves E, since an instance that reads none evaluates as in E, so the
+    scans visit only the (x, y) that read such a row.  A hyperfield with
+    cells of bounded size passes in O(n^2 log n), and a table a few
+    hyperaddition cells off one fails in O(n^2 log n); one whose row 1 or
+    multiplication breaks the automorphisms can cost O(n^3).
     """
     validate_candidate(c)
     t = _Table(c.n, c.hyperadd, c.mul)

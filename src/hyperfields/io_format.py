@@ -235,9 +235,8 @@ def _grid(header: str, labels, rows) -> list[str]:
     table = [[header, *labels]]
     for lab, cells in zip(labels, rows):
         table.append([lab, *cells])
-    widths = [max(len(r[c]) for r in table) for c in range(len(table[0]))]
-    return [" | ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-            for row in table]
+    widths = [max(map(len, col)) for col in zip(*table)]
+    return [" | ".join(map(str.ljust, row, widths)).rstrip() for row in table]
 
 
 def pretty_table(c, labels=None) -> str:

@@ -209,6 +209,7 @@ def flat_shard(shard):
         smul, keys = core._row_scalars(mul, v)
         hyperadd = core._expand(n, mul, inv, smul, keys)
         table = core._Table(n, hyperadd, mul)
+        table.suspects = None  # an expansion has none: the scans visit every y
         if core._ch5_scan(table, range(n)) is not None:
             ch5_rejects += 1
         elif core._ch1_scan(table, range(n)) is not None:

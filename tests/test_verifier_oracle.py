@@ -46,6 +46,7 @@ from hyperfields import (
     verify,
 )
 from hyperfields import core
+from hyperfields.core import iter_bits
 from hyperfields.enumeration import _scalar_tables
 from conftest import all_subgroups, five_element_candidate
 
@@ -272,6 +273,102 @@ def test_corrupted_tables_agree_with_the_oracles(c):
     assert_matches_oracles(c)
 
 
+# --- the scans narrowed to the rows that leave E ---------------------------
+
+
+def with_members_unbuilt(monkeypatch):
+    """Make the table-wide members fact fail on its first build."""
+    def refused(t):
+        raise AssertionError("the members of every mask were decoded")
+    monkeypatch.setattr(vars(core._Table)["members"], "compute", refused)
+
+
+@pytest.mark.parametrize("h, row", [(pair_hyperfield(40), 20), (massouros(gf(2, 6)), 32)],
+                         ids=["pair40", "massouros64"])
+def test_one_cell_corruption_scans_from_its_row(h, row, monkeypatch):
+    """One more element in one hyperadd cell: the table's row 1 still
+    expands to h, so the corrupted row is the one suspect and the scans
+    decode the masks of the rows they read, not every mask."""
+    c = h.candidate
+    n = c.n
+    cell = c.hyperadd[row][5]
+    added = next(w for w in range(n - 1, -1, -1) if not cell >> w & 1)
+    bad = with_cells(c, add_cells=[((row, 5), cell | 1 << added)])
+    assert core._Table(n, bad.hyperadd, bad.mul).suspects == 1 << row
+    with_members_unbuilt(monkeypatch)
+    assert assert_matches_oracles(bad).failures()
+
+
+def test_corruptions_that_leave_no_hyperfield_expansion_have_no_suspects():
+    """A mul corruption leaves no group to expand over, and a row-1
+    corruption expands to a table that is no hyperfield, so the scans
+    visit every y.  The last table's row 1 expands over C3 to an E whose
+    sums v(a) (+) u are symmetric while E itself is not, and E fails CH1:
+    the symmetry theorem alone would pass it."""
+    c = massouros(gf(13)).candidate
+    e = expand_one_row(abelian_groups(3)[0], OneRowMap(4, (2, 15, 2, 2)))
+    assert core._ch1_symmetry(e.hyperadd) is None and ch1_oracle(4, e.hyperadd, e.mul)
+    for bad in (with_cells(c, mul_cells=[((4, 6), c.mul[4][7])]),
+                with_cells(c, add_cells=[((1, 6), c.hyperadd[1][6] | 1 << 9)]),
+                with_cells(e, add_cells=[((3, 0), e.hyperadd[3][0] | 1)])):
+        table = core._Table(bad.n, bad.hyperadd, bad.mul)
+        assert table.suspects is None
+        assert not assert_matches_oracles(bad).ok
+    assert table.expansion == list(map(list, e.hyperadd))
+
+
+def seeded_corruptions(c, rng):
+    """Cell changes one to three hyperadd cells away from c: a cell and its
+    mirror; a cell in row 0 and one in row 1; a cell that gains 0 and one
+    that loses it, which moves the opposites; a cell robbed of one of its
+    members in the row of the opposite of 1, which CH5 reads at x = 1; and
+    two or three cells at random."""
+    n = c.n
+
+    def toggled(x, y, w):
+        cell = c.hyperadd[x][y]
+        return (x, y), cell ^ 1 << w or cell | 1 << (w + 1) % n
+
+    def some(low=0):
+        return rng.randrange(low, n)
+
+    x, y, w = some(2), some(2), some()
+    yield [toggled(x, y, w), toggled(y, x, w)]
+    yield [toggled(0, some(1), some())]
+    yield [toggled(1, some(2), some())]
+    x = some(1)
+    opp = c.hyperadd[x].index(next(m for m in c.hyperadd[x] if m & 1))
+    yield [toggled(x, (opp + some(1)) % n, 0)]
+    yield [toggled(x, opp, 0)]
+    x = c.hyperadd[1].index(next(m for m in c.hyperadd[1] if m & 1))  # the row CH5 at 1 reads
+    y = rng.choice([y for y, m in enumerate(c.hyperadd[x]) if m.bit_count() > 1])
+    yield [toggled(x, y, rng.choice(list(iter_bits(c.hyperadd[x][y]))))]
+    yield [toggled(some(), some(), some()) for _ in range(rng.choice((2, 3)))]
+
+
+MID_ORDER = {
+    "pair9": pair_hyperfield(9),
+    "pair21": pair_hyperfield(21),
+    "massouros16": massouros(gf(2, 4)),
+    "massouros25": massouros(gf(5, 2)),
+    "quotient9": quotient(gf(17), all_subgroups(gf(17))[1]),
+    "quotient33": quotient(gf(97), all_subgroups(gf(97))[2]),
+}
+
+
+@pytest.mark.parametrize("base", sorted(MID_ORDER))
+def test_mid_order_corruptions_agree_with_the_oracles(base):
+    """Whether or not E is a hyperfield, and whichever rows leave it, the
+    narrowed scans name the oracles' witnesses."""
+    c = MID_ORDER[base].candidate
+    narrowed = 0
+    for cells in seeded_corruptions(c, random.Random(base)):
+        bad = with_cells(c, add_cells=cells)
+        assert_matches_oracles(bad)
+        narrowed += core._Table(c.n, bad.hyperadd, bad.mul).suspects is not None
+    assert narrowed >= 3
+
+
 # --- the theorems that decide a hyperfield ---------------------------------
 
 
@@ -375,6 +472,7 @@ def test_every_expanded_one_row_table(n, mul):
         if n < 5:
             assert expand_one_row(mul, OneRowMap(n, masks)).hyperadd == tuple(map(tuple, hyperadd))
         table = core._Table(n, hyperadd, mul)
+        table.suspects = None  # an expansion has none: the scans visit every y
         hit = core._ch5_scan(table, (1,))
         if hit is None:
             assert core._ch5_scan(table, range(n)) is None, masks

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Reproduce the classification counts of finite Krasner hyperfields.
 
-Enumerates every order up to --max-order (default 6) and prints one row
-per order: the number of isomorphism classes and the wall-clock time.
+Enumerates every order up to --max-order (default: the largest the
+enumeration supports, 6) and prints one row per order: the number of
+isomorphism classes and the wall-clock time.
 Expected table: 2 -> 2, 3 -> 5, 4 -> 7, 5 -> 27, 6 -> 16.
 """
 
@@ -10,11 +11,13 @@ import argparse
 import time
 
 from hyperfields import BudgetExceededError, DomainError, SearchOptions, enumerate_hyperfields
+from hyperfields.enumeration import MAX_ENUM_ORDER
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--max-order", type=int, default=6, choices=range(2, 7))
+    ap.add_argument("--max-order", type=int, default=MAX_ENUM_ORDER,
+                    choices=range(2, MAX_ENUM_ORDER + 1))
     ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--budget", type=float, default=3600.0,
                     help="wall-clock budget in seconds per order")

@@ -17,8 +17,8 @@ The one row.  A hyperfield is fixed by its multiplication and its row
 v(z) = 1 (+) z through the scaling identity x (+) y = x . v(x^-1 y) for
 x != 0.  _expand() is the one place it is coded: expand_one_row() builds
 the constructions' tables from the v they state, the enumeration kernel
-expands each map v it searches, and verify() proves KR3 by checking that
-a table is the expansion of its own row 1.
+expands each map v it searches, and verify() decides CH1, CH5 and KR3
+from the rows where a table leaves the expansion of its own row 1.
 """
 
 from __future__ import annotations
@@ -311,53 +311,54 @@ def _extensions(choices, along_edges, images, phi):
 #     the greedy generators of the nonzero part proves the table
 #     associative.  Otherwise each (x, y) compares the rows (x.y).z and
 #     x.(y.z) over z.
-#   KR3: the certificate.  Where mul is a commutative group with zero
-#     (Light's test passes, rows equal columns, every x != 0 has an
-#     inverse) and hyperadd is the expansion of its own row 1 by the
-#     scaling identity x (+) y = x . v(x^-1 y), v(z) = 1 (+) z, for
-#     a, b, c != 0 ab (+) ac = ab . v(b^-1 c) = a . (b . v(b^-1 c)) =
-#     a . (b (+) c); a, b or c = 0 holds by the expansion's row and column
-#     0 and the absorbing 0, and the right law by commutativity.
-#     Otherwise x is taken in ascending order.  x = 0 distributes where 0
-#     is absorbing and 0 (+) 0 = {0}, and x = 1 where 1 is the identity.
-#     If g and c distribute, so does any x whose row is g.(c.w) over w and
-#     whose column is (w.g).c over w: apply the laws of c and then those of
-#     g.  An x that no pair (g, c) has certified this way, with g shown
-#     distributive and c certified, is scanned, and the first x that fails
-#     its scan is the first x that fails at all.  Each pair is tried once,
-#     at O(n).
+#   KR3: x is taken in ascending order, where some row is a suspect (see
+#     below; with none KR3 holds).  x = 0 distributes where 0 is absorbing
+#     and 0 (+) 0 = {0}, and x = 1 where 1 is the identity.  If g and c
+#     distribute, so does any x whose row is g.(c.w) over w and whose column
+#     is (w.g).c over w: apply the laws of c and then those of g.  An x that
+#     no pair (g, c) has certified this way, with g shown distributive and c
+#     certified, is scanned, and the first x that fails its scan is the
+#     first x that fails at all.  Each pair is tried once, at O(n).
 #   CH1 and CH5: a left multiplication s: w -> x.w that is a bijection,
 #     fixes 0 and distributes is an automorphism of (H, (+)), and it maps a
 #     violation at (x, y, z) to one at (s x, s y, s z) with the same reason
 #     (it maps opposites to opposites, as it fixes 0).  So the x with a
 #     violation are a union of orbits of the group such maps generate, and
 #     the first of them leads its orbit: only the least element of each
-#     orbit is scanned.  Under the certificate every x != 0 gives such a
+#     orbit is scanned.  With no suspect rows every x != 0 gives such a
 #     map, and the leaders are 0 and 1.  Otherwise generators are taken
 #     greedily from the x that still lead their orbits, and the search
 #     stops at the first bijection fixing 0 that does not distribute; with
 #     none found every x is scanned.  CH1 skips x = 0 where CH3 holds, as
-#     0 (+) m = m, and scans nothing where _ch1_symmetry() proves it.
-#   CH1, CH5 and KR3: the rows that leave E.  Where mul is a commutative
-#     group with zero, let E be the expansion of hyperadd's own row 1, and
-#     S the rows where hyperadd differs from E.  E passes CH3, KR1, KR2,
-#     HF1 and HF2 by construction and KR3 by the certificate; where it is
-#     symmetric and its opposites are unique, the symmetry theorem decides
-#     CH1, and CH1 gives CH5: from z in x (+) y, 0 in z' (+) z lies in
-#     (z' (+) x) (+) y, so the one opposite y' of y lies in z' (+) x, and
-#     scaling by 1' gives y in z (+) x', as w' = 1'.w and 1'.1' = 1 (1 is
-#     the opposite of 1'); x in z (+) y' is the same with x and y swapped.
-#     Where E is so a hyperfield, an instance of CH1, CH5 or KR3 that reads
-#     no cell in a row of S evaluates as it does in E, where it holds, so
-#     each violation reads a row of S.  CH1 at (x, y, z) reads the rows of
-#     x, of y and of the members of x (+) y; CH5 reads those and the row of
-#     x', with the opposites read off the table, which are E's outside S;
-#     KR3 reads the rows of y and of x.y = y.x.  So for x not in S, CH1 and
-#     CH5 visit only the y in S and the y with x (+) y meeting S, CH5 every
-#     y also where x' is undefined or in S, and KR3, and the orbit search's
-#     distributivity test, only the y with y or x.y in S.  A y skipped
+#     0 (+) m = m.
+#   CH1, CH5 and KR3: the suspect rows.  Where mul is a commutative group
+#     with zero (Light's test passes, rows equal columns, every x != 0 has
+#     an inverse), let E be the expansion of hyperadd's own row 1 by the
+#     scaling identity x (+) y = x . v(x^-1 y), v(z) = 1 (+) z.  E passes
+#     KR3: for a, b, c != 0 ab (+) ac = ab . v(b^-1 c) = a . (b . v(b^-1 c))
+#     = a . (b (+) c); a, b or c = 0 holds by the expansion's row and column
+#     0 and the absorbing 0, and the right law by commutativity.  E passes
+#     CH3, KR1, KR2, HF1 and HF2 by construction; where it is symmetric and
+#     its opposites are unique, the symmetry theorem decides CH1, and CH1
+#     gives CH5: from z in x (+) y, 0 in z' (+) z lies in (z' (+) x) (+) y,
+#     so the one opposite y' of y lies in z' (+) x, and scaling by 1' gives
+#     y in z (+) x', as w' = 1'.w and 1'.1' = 1 (1 is the opposite of 1');
+#     x in z (+) y' is the same with x and y swapped.  Where E is so a
+#     hyperfield, the suspects are the rows where hyperadd differs from E;
+#     otherwise every row is one.  An instance of CH1, CH5 or KR3 that
+#     reads no suspect row evaluates as it does in E, where it holds, so
+#     each violation reads a suspect row, and a table with no suspects
+#     passes all three: it is the hyperfield E.  CH1 at (x, y, z) reads the
+#     rows of x, of y and of the members of x (+) y; CH5 reads those and
+#     the row of x', with the opposites read off the table, which are E's
+#     outside the suspects; KR3 reads the rows of y and of x.y = y.x.  So
+#     for x not a suspect, CH1 and CH5 visit only the suspect y and the y
+#     with x (+) y meeting a suspect, CH5 every y also where x' is
+#     undefined or a suspect, and KR3, and the orbit search's
+#     distributivity test, only the y with y or x.y a suspect.  A y skipped
 #     holds for every z, so each scan keeps its order and returns the same
-#     first witness; masks are decoded only for the rows visited.
+#     first witness; masks are decoded only for the rows visited, and
+#     table-wide where every row is a suspect.
 #
 # A scan takes a whole row over z at a time: for fixed x and y each side
 # becomes a sequence over z, built by C-level map() and compared with one
@@ -372,17 +373,18 @@ def _extensions(choices, along_edges, images, phi):
 #
 # Cost on a hyperfield: Light's test compares n-2 rows of length n per
 # greedy generator, and a group of order n-1 has at most log2(n-1) of those
-# (GF(2^k) has k), so it is O(n^2 log n); the certificate, the CH1 theorem
-# and the CH5 scans at x = 0 and 1 take O(n^2) mask operations plus one OR
-# per member of each distinct mask they scale or sum, O(n^2) on cells of
-# bounded size, such as the triple-sum and pair hyperfields.  A table whose
+# (GF(2^k) has k), so it is O(n^2 log n); building E, comparing it with
+# the table and deciding it a hyperfield take O(n^2) mask operations plus
+# one OR per member of each distinct mask they scale or sum, O(n^2) on
+# cells of bounded size, such as the triple-sum and pair hyperfields, and
+# with no suspects the CH1, CH5 and KR3 scans visit nothing.  A table whose
 # multiplication is one cell off a group's keeps the automorphisms of the
 # intact rows, so CH1 and CH5 scan 0 and the few leaders of the group those
 # generate, and KR3 scans the greedy generators and the x below its witness
 # that no pair reaches: O(n^2 log n) on bounded cells.  A hyperaddition
 # corruption breaks the automorphisms (the cell-size test usually shows it
 # at once), so CH1 and CH5 scan every x up to their witness; where row 1
-# still expands to a hyperfield E, each x not in S costs O(n) plus O(n)
+# still expands to a hyperfield E, each x not a suspect costs O(n) plus O(n)
 # per y visited, a few y on bounded cells, so a corruption of a few cells
 # costs O(n^2) besides deciding E, O(n^2 log n).  A corrupted row 1
 # usually leaves E no hyperfield, and then the scans visit every y, O(n^3)
@@ -474,7 +476,8 @@ class _fact:
 class _Table:
     """One verify() call's view of a table: n, hyperadd and mul as given
     (tuple or list rows), and the facts the axiom checks share, each
-    computed at most once."""
+    computed at most once.  suspects is the one fact CH1, CH5 and KR3 are
+    decided from: where it is 0 they hold."""
 
     def __init__(self, n, hyperadd, mul):
         self.n, self.hyperadd, self.mul = n, hyperadd, mul
@@ -537,31 +540,29 @@ class _Table:
         return _expand(n, rows, inv, *_row_scalars(rows, t.hyperadd[1])) if all(inv[1:]) else None
 
     @_fact
-    def scales(t):
-        """The certificate: hyperadd is E."""
-        return t.expansion == list(map(list, t.hyperadd))
-
-    @_fact
     def suspects(t):
-        """The mask of the rows where hyperadd differs from E, where E is a
-        hyperfield and hyperadd is not E, else None.  The CH1, CH5 and KR3
-        scans then visit only the (x, y) that read one of those rows, and E
+        """The mask of the rows where hyperadd differs from E where E is a
+        hyperfield, else of every row.  The CH1, CH5 and KR3 scans visit
+        only the (x, y) that read a suspect row, so with none they pass.  E
         is a hyperfield where it is symmetric, its opposites are unique and
-        the symmetry theorem proves CH1 (see the comment on the checks)."""
+        the symmetry theorem proves CH1 (see the comment on the checks);
+        where hyperadd is E, those are the table's own facts."""
         e = t.expansion
-        if (e is None or t.scales
-                or any(len(p) != 1 for p in map(_zero_partners, e))
-                or _asymmetry(e, tuple(zip(*e))) is not None
-                or _ch1_symmetry(e) is not None):
-            return None
-        return mask_of(x for x, row in enumerate(t.hyperadd) if list(row) != e[x])
+        if e is not None:
+            rows = [x for x, row in enumerate(t.hyperadd) if list(row) != e[x]]
+            asymmetry, partners = ((_asymmetry(e, tuple(zip(*e))), map(_zero_partners, e))
+                                   if rows else (t.asymmetry, t.partners))
+            if (asymmetry is None and all(len(p) == 1 for p in partners)
+                    and _ch1_symmetry(e) is None):
+                return mask_of(rows)
+        return (1 << t.n) - 1
 
     @_fact
     def bits(t):
         """Mask -> its members, for the cells the scans read: members where
-        there are no suspects, as the scans then read every row, else each
+        every row is a suspect, as the scans then read every row, else each
         mask decoded on its first read."""
-        return t.members if t.suspects is None else _Bits()
+        return t.members if t.suspects == (1 << t.n) - 1 else _Bits()
 
     @_fact
     def leaders(t):
@@ -570,7 +571,7 @@ class _Table:
         multiplications.  Each x in 2..n-1 that leads its orbit so far is a
         generator when its row is a bijection fixing 0 that distributes over
         (+); the search stops at the first such bijection that does not."""
-        if t.scales:
+        if not t.suspects:
             return [0, 1]
         n = t.n
         sizes = [list(map(int.bit_count, row)) for row in t.hyperadd]
@@ -592,29 +593,26 @@ class _Table:
 def _sum_ys(t, x, read):
     """The y at which (x, y, z) can fail CH1 or CH5 for some z, where the
     instance reads the rows of y, of the members of x (+) y and of the
-    elements in read (None for an undefined opposite): every y without
-    suspects or where read meets them, else each suspect y and each y
-    whose x (+) y has a suspect member."""
+    elements in read (None for an undefined opposite): every y where read
+    meets the suspects, else each suspect y and each y whose x (+) y has a
+    suspect member."""
     s = t.suspects
-    if s is None or any(r is None or s >> r & 1 for r in read):
+    if any(r is None or s >> r & 1 for r in read):
         return range(t.n)
     return [y for y, m in enumerate(t.hyperadd[x]) if (m | 1 << y) & s]
 
 
 def _scaled_ys(t, s):
     """The y at which s(y (+) z) and s(y) (+) s(z) can differ for some z,
-    for a multiplication s: every y without suspects, else each y where y
-    or s(y) is a suspect."""
+    for a multiplication s: each y where y or s(y) is a suspect."""
     suspects = t.suspects
-    if suspects is None:
-        return range(t.n)
     return [y for y, sy in enumerate(s) if (1 << y | 1 << sy) & suspects]
 
 
 def _bits_of_rows(t, ys):
     """bits for the masks in the rows ys of hyperadd, which are every row
-    where there are no suspects."""
-    if t.suspects is None:
+    where every row is a suspect."""
+    if t.suspects == (1 << t.n) - 1:
         return t.members
     bits = t.bits
     return {m: bits[m] for m in set(chain.from_iterable(map(t.hyperadd.__getitem__, ys)))}
@@ -649,19 +647,18 @@ def _asymmetry(rows, cols):
 
 
 def _ch1_symmetry(hyperadd):
-    """CH1 given the certificate, CH2 and CH3: None when M[a][u] = v(a) (+) u,
-    the OR of the rows of v(a)'s members, is symmetric, else its first (a, u)."""
-    # By the certificate CH1 need only hold at x = 1 (see the comment on the
-    # checks).  (1, y, z) with y != 0 scales by a = y^-1 to (a (+) 1) (+) u
-    # against a (+) (1 (+) u), u = a.z, which CH2 turns into v(a) (+) u
-    # against v(u) (+) a; y = 0 holds by CH3.
+    """CH1 of an expansion E that passes CH2: None when M[a][u] =
+    v(a) (+) u, the OR of the rows of v(a)'s members, is symmetric, else
+    its first (a, u)."""
+    # In E every x != 0 scales (+), so CH1 need only hold at x = 1 (see the
+    # comment on the checks).  (1, y, z) with y != 0 scales by a = y^-1 to
+    # (a (+) 1) (+) u against a (+) (1 (+) u), u = a.z, which CH2 turns
+    # into v(a) (+) u against v(u) (+) a; y = 0 holds by CH3.
     rows = [_sum_row(hyperadd, iter_bits(m)) for m in hyperadd[1]]
     return _asymmetry(rows, tuple(zip(*rows)))
 
 
 def ch1_violation(t):
-    if t.scales and t.asymmetry is None and _ch1_symmetry(t.hyperadd) is None:
-        return None
     return _ch1_scan(t, t.leaders[1:] if ch3_violation(t) is None else t.leaders)
 
 
@@ -729,7 +726,7 @@ def kr2_violation(t):
 
 def _kr3_scan(t, x):
     """The first KR3 violation at x."""
-    ys = _scaled_ys(t, t.rows[x])  # rows[x] is cols[x] where there are suspects
+    ys = _scaled_ys(t, t.rows[x])  # rows[x] is cols[x] unless every row is a suspect
     rows = zip(ys, _distribution_rows(t, t.rows[x], ys), _distribution_rows(t, t.cols[x], ys))
     for y, (left, left_want), (right, right_want) in rows:
         if left != left_want or right != right_want:
@@ -742,7 +739,7 @@ def _kr3_scan(t, x):
 
 
 def kr3_violation(t):
-    if t.scales:
+    if not t.suspects:
         return None
     n, rows, cols = t.n, t.rows, t.cols
     outright = (t.neutral[0] and t.hyperadd[0][0] == 1, t.neutral[1])  # x = 0 and 1 distribute
@@ -913,14 +910,16 @@ def verify(c: HyperfieldCandidate) -> AxiomReport:
     Every entry of AXIOM_CHECKS runs once on one _Table view of c, and each
     failed axiom is reported with its lexicographically first witness.  The
     four cubic deciders try a theorem first and scan second (see the
-    comment on the axiom checks): KR1 Light's test, else a row scan; KR3
-    the scaling-identity certificate, else the x that no composition of
-    distributive multiplications certifies; CH1 the symmetry of
-    v(a) (+) u, else, as CH5, one x per orbit of the automorphisms of (+).
-    Where the expansion E of the table's own row 1 is a hyperfield, every
-    violation of CH1, CH5 or KR3 reads a cell in a row where the table
-    leaves E, since an instance that reads none evaluates as in E, so the
-    scans visit only the (x, y) that read such a row.  A hyperfield with
+    comment on the axiom checks): KR1 Light's test, else a row scan; CH1,
+    CH5 and KR3 the suspect rows.  Where the expansion E of the table's own
+    row 1 is a hyperfield (by the symmetry of v(a) (+) u for CH1), the
+    suspects are the rows where the table leaves E, else every row; every
+    violation of CH1, CH5 or KR3 reads a suspect row, since an instance
+    that reads none evaluates as in E, so a table with no suspects passes
+    all three, and otherwise the scans visit only the (x, y) that read a
+    suspect row: KR3 the x that no composition of distributive
+    multiplications certifies, CH1 and CH5 one x per orbit of the
+    automorphisms of (+).  A hyperfield with
     cells of bounded size passes in O(n^2 log n), and a table a few
     hyperaddition cells off one fails in O(n^2 log n); one whose row 1 or
     multiplication breaks the automorphisms can cost O(n^3).

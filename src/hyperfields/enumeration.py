@@ -12,8 +12,8 @@ chosen:
       1, and it must satisfy z*z = 1, since opposites are x' = x.1' and
       taking opposites twice is the identity);
   (b) commutativity pins partners: v(z) = z . v(z^-1), so only one row per
-      inverse pair {z, z^-1} is free, and rows of self-inverse z must be
-      unions of orbits of multiplication by z;
+      inverse pair {z, z^-1} is free, and rows of a self-inverse z are
+      fixed by z;
   (c) the free rows are assigned depth-first, and reversibility (CH5) at
       x = 1 is tested between pairs of rows as soon as both are set.  On
       the expanded table the opposite of x is x.z* for the opposite z* of
@@ -81,9 +81,11 @@ def abelian_groups(m: int) -> list[tuple[tuple[int, ...], ...]]:
 @lru_cache(maxsize=1)
 def _scalar_tables(n, mul):
     # smul[x][mask] = image of the subset `mask` under multiplication by x,
-    # for all 2^n masks.  It serves every row choice of every shard of the
-    # group; shards come group by group, so one entry builds it once per
-    # group in each process.  Read only: every caller shares the result.
+    # for all 2^n masks.  It serves the row choices and every row scaling
+    # of a group's shards.  _shards() reads it for each group before the
+    # shards run group by group, so where several groups are sharded the
+    # one entry is built again for each group's shards.  Read only: every
+    # caller shares the result.
     smul = [None] * n
     for x in range(1, n):
         row = mul[x]
@@ -95,37 +97,19 @@ def _scalar_tables(n, mul):
     return tuple(smul)
 
 
-def _orbit_unions(n, mul, z, with_zero):
-    # Unions of orbits of w -> z.w on the nonzero carrier; z must be
-    # self-inverse so orbits have size one or two.
-    seen = 0
-    orbit_masks = []
-    for w in range(1, n):
-        if not seen >> w & 1:
-            o = (1 << w) | (1 << mul[z][w])
-            seen |= o
-            orbit_masks.append(o)
-    unions = []
-    for sel in range(1 << len(orbit_masks)):
-        u = 0
-        for i, om in enumerate(orbit_masks):
-            if sel >> i & 1:
-                u |= om
-        unions.append(u)
-    if with_zero:
-        return tuple(sorted(1 | u for u in unions))
-    return tuple(sorted(u for u in unions if u))
-
-
 def _slots(n, mul, inv, zstar):
     """Free row choices, ascending z; rows of z > z^-1 follow from their
-    partner's."""
+    partner's.  The row of a self-inverse z is a mask fixed by z, odd (0 a
+    member) exactly where z = z*; that of z < z^-1 any nonzero even mask."""
+    smul = _scalar_tables(n, mul)
     slots = []
     for z in range(1, n):
         if inv[z] == z:
-            slots.append((z, _orbit_unions(n, mul, z, with_zero=z == zstar)))
+            scale = smul[z]
+            slots.append((z, tuple(m for m in range(1 if z == zstar else 2, 1 << n, 2)
+                                   if scale[m] == m)))
         elif z < inv[z]:
-            slots.append((z, tuple(s << 1 for s in range(1, 1 << (n - 1)))))
+            slots.append((z, tuple(range(2, 1 << n, 2))))
     return slots
 
 

@@ -76,14 +76,20 @@ def default_labels(n: int) -> tuple[str, ...]:
     return ("0", "1", *(f"e{i}" for i in range(2, n)))
 
 
-def to_document(c, labels=None, metadata: Optional[str] = None) -> HyperfieldDocument:
-    """Snapshot a candidate or verified hyperfield as a document."""
+def _with_labels(c, labels):
+    """(the candidate of c, labels as strings or None), checking their count."""
     if isinstance(c, Hyperfield):
         c = c.candidate
     if labels is not None:
         labels = tuple(str(x) for x in labels)
         if len(labels) != c.n:
             raise DomainError(f"expected {c.n} labels, got {len(labels)}")
+    return c, labels
+
+
+def to_document(c, labels=None, metadata: Optional[str] = None) -> HyperfieldDocument:
+    """Snapshot a candidate or verified hyperfield as a document."""
+    c, labels = _with_labels(c, labels)
     cells = _members(c.hyperadd).__getitem__
     hyperadd = tuple(tuple(map(cells, row)) for row in c.hyperadd)
     return HyperfieldDocument(FORMAT_VERSION, c.n, c.mul, hyperadd, labels, metadata)
@@ -241,14 +247,9 @@ def _grid(header: str, labels, rows) -> list[str]:
 
 def pretty_table(c, labels=None) -> str:
     """Both Cayley tables as aligned text grids, hyperaddition first."""
-    if isinstance(c, Hyperfield):
-        c = c.candidate
+    c, labels = _with_labels(c, labels)
     if labels is None:
         labels = default_labels(c.n)
-    else:
-        labels = tuple(str(x) for x in labels)
-        if len(labels) != c.n:
-            raise DomainError(f"expected {c.n} labels, got {len(labels)}")
 
     text = {m: "{" + ",".join(map(labels.__getitem__, bits)) + "}"
             for m, bits in _members(c.hyperadd).items()}

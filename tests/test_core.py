@@ -163,7 +163,7 @@ class TestVerify:
         assert {r.axiom for r in report.failures()} == failing
         assert [calls[code] for code, _ in core.AXIOM_CHECKS] == [1] * 10
         assert max(calls[name] for name in facts) == 1
-        assert {"rows", "associative", "scales", "leaders", "asymmetry"} <= set(calls)
+        assert {"rows", "associative", "suspects", "leaders", "asymmetry"} <= set(calls)
 
     def test_structural_rejects_before_axioms(self):
         with pytest.raises(StructuralError):

@@ -1,5 +1,5 @@
 import math
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 
 import pytest
 
@@ -191,6 +191,28 @@ def _scaled(mul, x, mask):
     return image
 
 
+def slot_oracle(n, mul, zstar):
+    """The kernel's free row choices, built from their definition: for a
+    self-inverse z, every union of the orbits {w, z.w} of the nonzero
+    carrier, with 0 added exactly where z = z*; for z < z^-1, every
+    nonempty subset of the nonzero carrier; rows of z > z^-1 are not free."""
+    inv = [0] + [next(y for y in range(1, n) if mul[x][y] == 1) for x in range(1, n)]
+    slots = []
+    for z in range(1, n):
+        if inv[z] == z:
+            orbits = {frozenset((w, mul[z][w])) for w in range(1, n)}
+            unions = [set().union(*chosen) for k in range(len(orbits) + 1)
+                      for chosen in combinations(orbits, k)]
+            members = [u | {0} if z == zstar else u for u in unions]
+        elif z < inv[z]:
+            members = [set(chosen) for k in range(1, n)
+                       for chosen in combinations(range(1, n), k)]
+        else:
+            continue
+        slots.append((z, tuple(sorted(sum(1 << w for w in u) for u in members if u))))
+    return slots
+
+
 def flat_shard(shard):
     """The shard's maps with no pruning: every map of its slots in product
     order, expanded by core._expand and filtered by the full CH5 and CH1
@@ -209,7 +231,7 @@ def flat_shard(shard):
         smul, keys = core._row_scalars(mul, v)
         hyperadd = core._expand(n, mul, inv, smul, keys)
         table = core._Table(n, hyperadd, mul)
-        table.suspects = None  # an expansion has none: the scans visit every y
+        table.suspects = (1 << n) - 1  # the scans visit every y, trusting no theorem on E
         if core._ch5_scan(table, range(n)) is not None:
             ch5_rejects += 1
         elif core._ch1_scan(table, range(n)) is not None:
@@ -231,6 +253,18 @@ class TestKernelFilters:
     """The kernel prunes on CH5 at x = 1 between pairs of rows and tests its
     leaves by the CH1 symmetry theorem; the flat oracle applies no prune and
     scans every x."""
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_slots_are_the_orbit_unions(self, n):
+        """For every group and opposite z* of 1, orders 2-9, in order; the
+        flat oracle takes its maps from _slots too."""
+        pairs = 0
+        for mul in abelian_groups(n - 1):
+            for zstar in (z for z in range(1, n) if mul[z][z] == 1):
+                pairs += 1
+                assert enumeration._slots(n, mul, core.inverses(n, mul), zstar) == (
+                    slot_oracle(n, mul, zstar)), (mul, zstar)
+        assert pairs == {2: 1, 3: 2, 4: 1, 5: 6, 6: 1, 7: 2, 8: 1, 9: 14}[n]
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_run_shard_equals_the_flat_oracle(self, flat, n):

@@ -10,13 +10,14 @@ over plain Python sets: no caches, no bitmask helpers and nothing imported
 from the package's core.  Both must name the same lexicographically first
 witness and the same reason, or both must pass.
 
-Each decider applies its theorem first: Light's test for KR1, the
-scaling-identity certificate for KR3, and for CH1 and CH5 the orbit
-leaders, which are 0 and 1 under the certificate.  Every input here checks
-that verify() returns exactly the report of the oracles and the six O(n^2)
-checks.  Light's test and the certificate are also checked on their own
-against the oracle of the axiom they prove, because a whole report can
-hide a wrong step behind another axiom's failure.
+Each decider applies its theorem first: Light's test for KR1, and for
+CH1, CH5 and KR3 the suspect rows, where the table leaves the expansion E
+of its own row 1 while E is a hyperfield (every row where it is not): with
+no suspects all three hold.  Every input here checks that verify() returns
+exactly the report of the oracles and the six O(n^2) checks.  Light's test
+and the suspects are also checked on their own against the oracles of the
+axioms they prove, because a whole report can hide a wrong step behind
+another axiom's failure.
 """
 
 from __future__ import annotations
@@ -130,14 +131,20 @@ def exhaustive_report(c):
     return AxiomReport(tuple(results))
 
 
+def every_row(n):
+    """The suspects of a table whose row 1 expands to no hyperfield."""
+    return (1 << n) - 1
+
+
 def assert_matches_oracles(c):
-    """verify() gives exactly the oracles' report, and Light's test and the
-    certificate hold only where the axioms they prove hold."""
+    """verify() gives exactly the oracles' report, Light's test holds only
+    where KR1 holds, and no row is a suspect only where CH1, CH5 and KR3
+    hold."""
     want = exhaustive_report(c)
     assert verify(c) == want
     table = core._Table(c.n, c.hyperadd, c.mul)
     assert want["KR1"].passed or not table.associative
-    assert want["KR3"].passed or not table.scales
+    assert all(want[axiom].passed for axiom in ("CH1", "CH5", "KR3")) or table.suspects
     return want
 
 
@@ -301,10 +308,10 @@ def test_one_cell_corruption_scans_from_its_row(h, row, monkeypatch):
 
 def test_corruptions_that_leave_no_hyperfield_expansion_have_no_suspects():
     """A mul corruption leaves no group to expand over, and a row-1
-    corruption expands to a table that is no hyperfield, so the scans
-    visit every y.  The last table's row 1 expands over C3 to an E whose
-    sums v(a) (+) u are symmetric while E itself is not, and E fails CH1:
-    the symmetry theorem alone would pass it."""
+    corruption expands to a table that is no hyperfield, so every row is a
+    suspect and the scans visit every y.  The last table's row 1 expands
+    over C3 to an E whose sums v(a) (+) u are symmetric while E itself is
+    not, and E fails CH1: the symmetry theorem alone would pass it."""
     c = massouros(gf(13)).candidate
     e = expand_one_row(abelian_groups(3)[0], OneRowMap(4, (2, 15, 2, 2)))
     assert core._ch1_symmetry(e.hyperadd) is None and ch1_oracle(4, e.hyperadd, e.mul)
@@ -312,7 +319,7 @@ def test_corruptions_that_leave_no_hyperfield_expansion_have_no_suspects():
                 with_cells(c, add_cells=[((1, 6), c.hyperadd[1][6] | 1 << 9)]),
                 with_cells(e, add_cells=[((3, 0), e.hyperadd[3][0] | 1)])):
         table = core._Table(bad.n, bad.hyperadd, bad.mul)
-        assert table.suspects is None
+        assert table.suspects == every_row(bad.n)
         assert not assert_matches_oracles(bad).ok
     assert table.expansion == list(map(list, e.hyperadd))
 
@@ -365,7 +372,7 @@ def test_mid_order_corruptions_agree_with_the_oracles(base):
     for cells in seeded_corruptions(c, random.Random(base)):
         bad = with_cells(c, add_cells=cells)
         assert_matches_oracles(bad)
-        narrowed += core._Table(c.n, bad.hyperadd, bad.mul).suspects is not None
+        narrowed += core._Table(c.n, bad.hyperadd, bad.mul).suspects != every_row(c.n)
     assert narrowed >= 3
 
 
@@ -381,24 +388,26 @@ def kr1_holds(mul):
 
 
 def assert_steps_agree(c):
-    """Light's test passes only where KR1 holds, and the certificate only
-    where KR3 holds.  Where the six O(n^2) checks pass, both apply exactly
-    where their axiom holds (the certificate where KR1 does too), so a
-    hyperfield is always decided by the theorems."""
+    """Light's test passes only where KR1 holds, and no row is a suspect
+    only where CH1, CH5 and KR3 hold.  Where the six O(n^2) checks pass,
+    both apply exactly where their axioms hold (the suspects where KR1 does
+    too), so a hyperfield is always decided by the theorems."""
     n, hyperadd, mul = c.n, c.hyperadd, c.mul
     table = core._Table(n, hyperadd, mul)
     complete = all(check(table) is None for axiom, check in core.AXIOM_CHECKS
                    if axiom in QUADRATIC)
     if table.associative or complete:
         assert table.associative == kr1_holds(mul)
-    if table.scales or complete and table.associative:
-        assert table.scales == (kr3_oracle(n, hyperadd, mul) is None)
+    if not table.suspects or complete and table.associative:
+        holds = all(oracle(n, hyperadd, mul) is None
+                    for oracle in (ch5_oracle, kr3_oracle, ch1_oracle))
+        assert (table.suspects == 0) == holds
 
 
 def test_order_six_classes_are_proved_by_the_reductions():
     for h in enumerate_hyperfields(6):
         assert assert_matches_oracles(h.candidate).ok
-        assert core._Table(h.n, h.hyperadd, h.mul).scales
+        assert core._Table(h.n, h.hyperadd, h.mul).suspects == 0
 
 
 def one_cell_changes(c, symmetric):
@@ -462,7 +471,7 @@ def test_every_expanded_one_row_table(n, mul):
     (at order 5 where CH5 passes, which keeps the scan short); the CH1
     decider against the oracle at orders 3 and 4, and the symmetry theorem
     against the full CH1 at order 5 where CH2 holds; and Light's test and
-    the certificate where the six O(n^2) checks pass.  The expansion builds
+    the suspects where the six O(n^2) checks pass.  The expansion builds
     in the scaling identity, so the reductions to x = 1 are theorems here.
     Some tables fail CH2 and CH1 with M symmetric, so the theorem needs its
     CH2 premise."""
@@ -472,7 +481,7 @@ def test_every_expanded_one_row_table(n, mul):
         if n < 5:
             assert expand_one_row(mul, OneRowMap(n, masks)).hyperadd == tuple(map(tuple, hyperadd))
         table = core._Table(n, hyperadd, mul)
-        table.suspects = None  # an expansion has none: the scans visit every y
+        table.suspects = every_row(n)  # the scans visit every y, trusting no theorem on E
         hit = core._ch5_scan(table, (1,))
         if hit is None:
             assert core._ch5_scan(table, range(n)) is None, masks
@@ -565,9 +574,9 @@ def test_scaling_identity_matches_kr3(base):
         table = core._Table(n, changed.hyperadd, c.mul)
         if changed.mul != c.mul or core.ch3_violation(table):
             continue
-        assert table.scales == (kr3_oracle(n, changed.hyperadd, c.mul) is None)
-        verdicts.add(table.scales)
-    assert core._Table(n, c.hyperadd, c.mul).scales
+        assert (table.suspects == 0) == (kr3_oracle(n, changed.hyperadd, c.mul) is None)
+        verdicts.add(table.suspects == 0)
+    assert core._Table(n, c.hyperadd, c.mul).suspects == 0
     assert False in verdicts
 
 
@@ -587,8 +596,9 @@ CHAIN = tuple(tuple(min(x, y, key=(0, 3, 1, 2).__getitem__) for y in range(4))
 def test_expansions_the_certificate_must_refuse(mul):
     """Light's test passes on both multiplications, and a row v expands over
     each (through inverses, 0 where missing) to a table that fails KR3: S3
-    is not commutative, and the chain has no inverses.  The certificate
-    checks both, so KR3 falls back to its scan."""
+    is not commutative, and the chain has no inverses.  E is built only
+    over a commutative group with zero, so every row is a suspect and KR3
+    falls back to its scan."""
     n = len(mul)
     rng = random.Random(n)
     for _ in range(30):
@@ -597,7 +607,7 @@ def test_expansions_the_certificate_must_refuse(mul):
         hyperadd = core._expand(n, mul, core.inverses(n, mul), *core._row_scalars(mul, v))
         c = HyperfieldCandidate(n, tuple(map(tuple, hyperadd)), mul)
         table = core._Table(n, c.hyperadd, c.mul)
-        assert table.associative and not table.scales
+        assert table.associative and table.suspects == every_row(n)
         assert not assert_matches_oracles(c)["KR3"].passed
 
 
@@ -606,7 +616,8 @@ def test_expansions_the_certificate_must_refuse(mul):
                          ids=["massouros32", "pair20", "five"])
 def test_list_rows_decide_as_tuple_rows(h):
     """A candidate built with list rows gets the same reports as with tuple
-    rows, passing and failing, and the certificate holds for both."""
+    rows, passing and failing, and the passing one has no suspects in
+    either form."""
     n = h.n
 
     def listed(c):
@@ -617,4 +628,4 @@ def test_list_rows_decide_as_tuple_rows(h):
               with_cells(h.candidate, mul_cells=[((3, 2), 0)])):
         assert verify(listed(c)) == verify(c)
     for c in (h.candidate, listed(h.candidate)):
-        assert core._Table(n, c.hyperadd, c.mul).scales
+        assert core._Table(n, c.hyperadd, c.mul).suspects == 0

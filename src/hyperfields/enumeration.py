@@ -5,7 +5,7 @@ the n-1 nonzero elements, so the search scaffolds over the isomorphism
 classes of those groups.  Distributivity then forces the whole
 hyperaddition from the single row v(z) = 1(+)z by the scaling identity
 x (+) y = x . v(x^-1 y) (see core), so instead of all n*n tables it is
-enough to search the maps v, with three prunes applied while rows are
+enough to search the maps v, with four prunes applied while rows are
 chosen:
 
   (a) exactly one nonzero z may have 0 in v(z) (that z is the opposite of
@@ -27,12 +27,23 @@ chosen:
       So every leaf passes CH5: at x = 1 by these tests, at x = 0 as
       0 (+) y = {y}, and at x != 0 by the scaling built into the expansion.
       Leaves are tested for CH1 by core's symmetry theorem, whose premises
-      the expansion and (b) supply; all other axioms hold by construction.
+      the expansion and (b) supply; all other axioms hold by construction;
+  (d) each class is searched once.  Hyperfields over one group G are
+      isomorphic exactly when an automorphism sigma of G carries one row
+      onto the other, sigma.v.sigma^-1 = v', and sigma.v has the opposite
+      sigma(z*).  Maps are ordered as the walk meets them: by z*, then by
+      the masks of the free rows in slot order.  Only the least map of each
+      orbit is kept: z* is least in its orbit under Aut(G), the first row
+      m (of z = 1, which every sigma fixes) has sigma(m) >= m for every
+      sigma fixing z*, and a leaf that passes CH1 is no larger than its
+      image under any such sigma.
 
-Survivors are verified in full and deduplicated by iso.fingerprint, a
-complete canonical form; classes sort by it, so the result is byte-identical
-across runs and worker counts.  The budget is checked during the scan and
-again before verification and before deduplication.
+So each survivor is the first map of its class in walk order, the one a
+deduplication of the unpruned walk keeps.  Survivors are verified in full
+and sorted by iso.fingerprint, a complete canonical form that also names
+the class files, so the result is byte-identical across runs and worker
+counts.  The budget is checked during the scan and again before
+verification and before the classes are sorted.
 """
 
 from __future__ import annotations
@@ -43,7 +54,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (  # bench/spans.py wraps _expand, ch5_violation and ch1_violation here
     Hyperfield,
@@ -51,6 +62,7 @@ from .core import (  # bench/spans.py wraps _expand, ch5_violation and ch1_viola
     _ch1_symmetry as ch1_violation,
     _ch5_scan as ch5_violation,  # unused here: bound for bench/spans.py alone
     _expand,
+    group_isomorphisms,
     inverses,
     verified,
 )
@@ -78,23 +90,24 @@ def abelian_groups(m: int) -> list[tuple[tuple[int, ...], ...]]:
     return list(abelian_group_tables(m))
 
 
+def _carry(n, perm):
+    """table[m] = the image of the subset m under w -> perm[w], for all 2^n
+    masks, each built from the mask without its lowest bit."""
+    table = [0] * (1 << n)
+    for m in range(1, 1 << n):
+        low = m & -m
+        table[m] = table[m ^ low] | (1 << perm[low.bit_length() - 1])
+    return tuple(table)
+
+
 @lru_cache(maxsize=1)
 def _scalar_tables(n, mul):
     # smul[x][mask] = image of the subset `mask` under multiplication by x,
     # for all 2^n masks.  It serves the row choices and every row scaling
-    # of a group's shards.  _shards() reads it for each group before the
-    # shards run group by group, so where several groups are sharded the
-    # one entry is built again for each group's shards.  Read only: every
-    # caller shares the result.
-    smul = [None] * n
-    for x in range(1, n):
-        row = mul[x]
-        arr = [0] * (1 << n)
-        for m in range(1, 1 << n):
-            low = m & -m
-            arr[m] = arr[m ^ low] | (1 << row[low.bit_length() - 1])
-        smul[x] = tuple(arr)
-    return tuple(smul)
+    # of a group's shards.  _shards() builds the set-up of one group's pairs
+    # before the next group's, so each group's entry is built once.  Read
+    # only: every caller shares the result.
+    return (None, *(_carry(n, row) for row in mul[1:]))
 
 
 def _slots(n, mul, inv, zstar):
@@ -128,74 +141,113 @@ def _pair_checks(n, mul, inv, zstar, slots):
     return checks
 
 
+class _Pair(NamedTuple):
+    """The set-up that the shards of one (group, z*) share.  below[d] counts
+    the maps under one choice at depth d.  rivals holds, for each
+    automorphism sigma != 1 of the group that fixes z*, (src, carry) with
+    (sigma.v)(z) = carry[v(src[k])] at the z of slot k; no rivals, no orbit
+    prune."""
+
+    n: int
+    mul: tuple
+    inv: list
+    smul: tuple
+    slots: list
+    checks: list
+    below: list
+    rivals: tuple
+
+
+def _pair(n, mul, zstar, stabiliser):
+    """The set-up of (mul, z*).  stabiliser lists the automorphisms other
+    than 1 that fix z*; an empty one turns the orbit prune off."""
+    inv = inverses(n, mul)
+    slots = _slots(n, mul, inv, zstar)
+    below = [math.prod(len(choices) for _, choices in slots[d + 1:])
+             for d in range(len(slots))]
+    rivals = tuple((tuple(sigma.index(z) for z, _ in slots), _carry(n, sigma))
+                   for sigma in stabiliser)
+    return _Pair(n, mul, inv, _scalar_tables(n, mul), slots,
+                 _pair_checks(n, mul, inv, zstar, slots), below, rivals)
+
+
+def _least(masks, keys, rivals):
+    """Is the map, read at the slots keys, no larger than its image under
+    any rival?"""
+    row = [masks[z] for z in keys]
+    return all(row <= [carry[masks[s]] for s in src] for src, carry in rivals)
+
+
 def _run_shard(args):
-    """Search one shard: a fixed group, opposite-of-1 choice, and first row.
+    """Search one shard: a (group, z*) set-up and the mask of the first row.
 
     Rows are assigned depth-first in slot order, each slot's choices in
     turn, so leaves come in the order of the product of the slots.  Returns
     (scanned, survivors, timed_out): scanned counts the maps decided, a
     pruned subtree counting every map below it; survivors are (hyperadd,
-    mul) table pairs that passed the CH1 symmetry test.
+    mul) table pairs that passed the CH1 symmetry test and are least in
+    their orbit.  The walk is one loop over an iterator per depth, so a
+    shard leaves no reference cycle behind.
     """
-    n, mul, zstar, first_idx, deadline = args
+    pair, first, deadline = args
     if deadline is not None and time.monotonic() > deadline:
         return 0, [], True
-    inv = inverses(n, mul)
-    smul = _scalar_tables(n, mul)
-    slots = _slots(n, mul, inv, zstar)
-    slots[0] = (slots[0][0], slots[0][1][first_idx:first_idx + 1])
-    checks = _pair_checks(n, mul, inv, zstar, slots)
-    below = [math.prod(len(choices) for _, choices in slots[d + 1:])
-             for d in range(len(slots))]
+    n, mul, inv, smul, slots, checks, below, rivals = pair
+    keys = [z for z, _ in slots]
+    steps = [(z, inv[z], smul[inv[z]], checks[d], below[d]) for d, z in enumerate(keys)]
+    choices = [(first,)] + [c for _, c in slots[1:]]
     last = len(slots) - 1
+    pending = [iter(choices[0])] + [None] * last  # the choices left at each depth
 
     masks = [0] * n
     masks[0] = 1 << 1
     survivors = []
-    scanned = nodes = 0
-
-    def walk(d):
-        # True when the deadline passed inside this subtree.
-        nonlocal scanned, nodes
-        z, choices = slots[d]
-        zi = inv[z]
-        scale = smul[zi]
-        for m in choices:
+    scanned = nodes = d = 0
+    while d >= 0:
+        z, zi, scale, tests, size = steps[d]
+        for m in pending[d]:
             nodes += 1
             if deadline is not None and nodes % _BUDGET_STRIDE == 0:
                 if time.monotonic() > deadline:
-                    return True
+                    return scanned, survivors, True
             masks[z] = m
             masks[zi] = scale[m]  # v(z^-1) = z^-1 . v(z); unchanged when z = z^-1
-            if any(masks[y] & zb and not masks[w] & tb for y, zb, w, tb in checks[d]):
-                scanned += below[d]
+            if any(masks[y] & zb and not masks[w] & tb for y, zb, w, tb in tests):
+                scanned += size
             elif d < last:
-                if walk(d + 1):
-                    return True
+                d += 1
+                pending[d] = iter(choices[d])
+                break
             else:
                 scanned += 1
                 hyperadd = _expand(n, mul, inv, smul, masks)
-                if ch1_violation(hyperadd) is None:
+                if ch1_violation(hyperadd) is None and _least(masks, keys, rivals):
                     survivors.append((tuple(map(tuple, hyperadd)), mul))
-        return False
-
-    timed_out = walk(0)
-    return scanned, survivors, timed_out
+        else:
+            d -= 1
+    return scanned, survivors, False
 
 
 def _shards(n, groups, deadline):
+    """One shard per (group, z*, first row) that can hold the least map of
+    an orbit: z* least in its orbit under Aut(G), and a first row m with
+    sigma(m) >= m for every sigma fixing z*."""
     shards = []
+    identity = tuple(range(n))
     for mul in groups:
-        inv = inverses(n, mul)
-        involutions = [z for z in range(1, n) if mul[z][z] == 1]
-        for zstar in involutions:
-            first_choices = _slots(n, mul, inv, zstar)[0][1]
-            for ci in range(len(first_choices)):
-                shards.append((n, mul, zstar, ci, deadline))
+        autos = list(group_isomorphisms(n, mul, mul))
+        for zstar in range(1, n):
+            if mul[zstar][zstar] != 1 or min(a[zstar] for a in autos) < zstar:
+                continue
+            pair = _pair(n, mul, zstar,
+                         [a for a in autos if a[zstar] == zstar and a != identity])
+            shards += [(pair, m, deadline) for m in pair.slots[0][1]
+                       if all(carry[m] >= m for _, carry in pair.rivals)]
     return shards
 
 
 def _dedup(wrapped: list[Hyperfield]) -> list[Hyperfield]:
+    """The first of each class, sorted by fingerprint."""
     classes: dict[tuple, Hyperfield] = {}
     for h in wrapped:
         classes.setdefault(fingerprint(h), h)
@@ -205,9 +257,9 @@ def _dedup(wrapped: list[Hyperfield]) -> list[Hyperfield]:
 def enumerate_hyperfields(n: int, options: Optional[SearchOptions] = None) -> list[Hyperfield]:
     """All Krasner hyperfields of order n, one per isomorphism class.
 
-    Deterministic: shard order and merge order are fixed, each class keeps
-    its first survivor, and classes sort by fingerprint, so the output does
-    not depend on the worker count.
+    Deterministic: shard order and merge order are fixed, the walk keeps the
+    first map of each class (prune (d)), and classes sort by fingerprint, so
+    the output does not depend on the worker count.
     """
     if not 2 <= n <= MAX_ENUM_ORDER:
         raise CapacityError(f"enumeration supports orders 2..{MAX_ENUM_ORDER}")

@@ -236,6 +236,18 @@ class TestEnumerate:
             text = (tmp_path / f"order4_{digest}.json").read_text(encoding="utf-8")
             assert text == render_document(to_document(h.candidate))
 
+    def test_class_files_match_their_digests(self, capsys, tmp_path):
+        """The files of `enumerate --order n --out` at orders 2-6, each
+        pinned by name and sha256 in golden/enumerate_sha256.json: a change
+        to any representative, its document or its file name fails here, so
+        a re-baseline is a deliberate step."""
+        pinned = json.loads((GOLDEN / "enumerate_sha256.json").read_text(encoding="utf-8"))
+        for n in range(2, 7):
+            code, out, _ = run_cli(capsys, "enumerate", "--order", str(n), "--out", str(tmp_path))
+            assert code == 0
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+        assert got == pinned
+
     def test_budget_exceeded_is_status_three(self, capsys, monkeypatch):
         # One second passes per clock reading, so the first shard is late.
         monkeypatch.setattr(enumeration, "time", SteppingClock(1.0))

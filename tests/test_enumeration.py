@@ -1,5 +1,6 @@
+import gc
 import math
-from itertools import combinations, product as iproduct
+from itertools import combinations, permutations, product as iproduct
 
 import pytest
 
@@ -15,10 +16,12 @@ from hyperfields import (
     are_isomorphic,
     enumerate_hyperfields,
     expand_one_row,
+    fingerprint,
     from_field,
     gf,
     massouros,
     pair_hyperfield,
+    verified,
     verify,
 )
 from hyperfields import core, enumeration
@@ -137,10 +140,11 @@ class TestEnumerate:
                     assert are_isomorphic(a, b) is None
 
     def test_each_class_keeps_its_first_survivor(self, enum_classes):
-        # Survivors in scan order, grouped by the brute-force oracle.
+        # Survivors of the unpruned walk in scan order, grouped by the
+        # brute-force oracle.
         for n in (3, 4, 5):
             kept = []
-            for shard in enumeration._shards(n, abelian_groups(n - 1), None):
+            for shard in unpruned_shards(n):
                 for hyperadd, mul in enumeration._run_shard(shard)[1]:
                     c = HyperfieldCandidate(n, hyperadd, mul)
                     if all(brute_isomorphic(c, k) is None for k in kept):
@@ -213,15 +217,27 @@ def slot_oracle(n, mul, zstar):
     return slots
 
 
+def unpruned_shards(n):
+    """Every shard of the walk with the orbit prune off: each group, each z*
+    with z*.z* = 1 and each first row, on a set-up with no automorphisms."""
+    shards = []
+    for mul in abelian_groups(n - 1):
+        for zstar in range(1, n):
+            if mul[zstar][zstar] == 1:
+                pair = enumeration._pair(n, mul, zstar, ())
+                shards += [(pair, m, None) for m in pair.slots[0][1]]
+    return shards
+
+
 def flat_shard(shard):
     """The shard's maps with no pruning: every map of its slots in product
     order, expanded by core._expand and filtered by the full CH5 and CH1
     scans over every x.  Returns (scanned, survivors, CH5 rejections, CH1
     rejections)."""
-    n, mul, zstar, first_idx, _ = shard
+    pair, first, _ = shard
+    n, mul, slots = pair.n, pair.mul, pair.slots
     inv = core.inverses(n, mul)
-    slots = enumeration._slots(n, mul, inv, zstar)
-    choices = [(slots[0][1][first_idx],)] + [c for _, c in slots[1:]]
+    choices = [(first,)] + [c for _, c in slots[1:]]
     survivors, ch5_rejects, ch1_rejects = [], 0, 0
     for combo in iproduct(*choices):
         v = [1 << 1] + [0] * (n - 1)
@@ -243,9 +259,9 @@ def flat_shard(shard):
 
 @pytest.fixture(scope="module")
 def flat():
-    """Order -> [(shard, flat_shard(shard))] for every shard at orders 3-6."""
-    return {n: [(shard, flat_shard(shard))
-                for shard in enumeration._shards(n, abelian_groups(n - 1), None)]
+    """Order -> [(shard, flat_shard(shard))] for every unpruned shard at
+    orders 3-6."""
+    return {n: [(shard, flat_shard(shard)) for shard in unpruned_shards(n)]
             for n in range(3, 7)}
 
 
@@ -298,6 +314,91 @@ class TestKernelFilters:
         assert len(leaves) == sum(s - r5 for _, (s, _, r5, _) in flat[n])
 
 
+def brute_automorphisms(mul):
+    """Every permutation of the carrier that fixes 0 and 1 and preserves
+    mul, found by trying all of them."""
+    n = len(mul)
+    found = []
+    for rest in permutations(range(2, n)):
+        s = (0, 1, *rest)
+        if all(s[mul[x][y]] == mul[s[x]][s[y]] for x in range(1, n) for y in range(1, n)):
+            found.append(s)
+    return found
+
+
+def fixes(s, v):
+    """Is s.v.s^-1 = v, each mask's image under s built bit by bit?"""
+    n = len(v)
+    return all(sum(1 << s[w] for w in range(n) if v[z] >> w & 1) == v[s[z]] for z in range(n))
+
+
+def walk(shards):
+    """The survivors of the shards, in scan order."""
+    return [found for shard in shards for found in enumeration._run_shard(shard)[1]]
+
+
+@pytest.fixture(scope="module")
+def unpruned():
+    """Order -> the survivors of the unpruned walk, in scan order, orders 2-8."""
+    return {n: walk(unpruned_shards(n)) for n in range(2, 9)}
+
+
+@pytest.fixture(scope="module")
+def classes():
+    """Order -> enumerate_hyperfields(n) at orders 2-8, the cap patched in
+    process."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(enumeration, "MAX_ENUM_ORDER", 8)
+        return {n: enumerate_hyperfields(n) for n in range(2, 9)}
+
+
+class TestOrbitPrune:
+    """The walk keeps the least map of each Aut(G)-orbit.  The oracles are
+    the unpruned walk (the same kernel on set-ups with no automorphisms)
+    plus _dedup, and Burnside's count over automorphisms found by brute
+    force."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_burnside_count(self, unpruned, classes, n):
+        """Per group, the classes number the mean over sigma in Aut(G) of
+        the unpruned survivors v with sigma.v.sigma^-1 = v."""
+        for mul in abelian_groups(n - 1):
+            autos = brute_automorphisms(mul)
+            fixed = sum(fixes(s, hyperadd[1]) for hyperadd, survivor_mul in unpruned[n]
+                        if survivor_mul == mul for s in autos)
+            assert fixed == len(autos) * sum(h.mul == mul for h in classes[n]), mul
+
+    @pytest.mark.parametrize("n, count", [(2, 2), (3, 5), (4, 7), (5, 27), (6, 16),
+                                          (7, 277), (8, 178)])
+    def test_survivors_are_the_first_of_each_unpruned_class(self, unpruned, classes, n, count):
+        """One survivor per class: the pruned survivors are the unpruned
+        survivors that _dedup keeps, in the same order, and
+        enumerate_hyperfields returns what _dedup returns on the unpruned
+        walk."""
+        wrapped = [verified(HyperfieldCandidate(n, hyperadd, mul))
+                   for hyperadd, mul in unpruned[n]]
+        first = {}
+        for found, h in zip(unpruned[n], wrapped):
+            first.setdefault(fingerprint(h), found)
+        pruned = walk(enumeration._shards(n, abelian_groups(n - 1), None))
+        assert pruned == list(first.values())
+        assert len(pruned) == len(classes[n]) == count
+        assert [h.candidate for h in classes[n]] == [
+            h.candidate for h in enumeration._dedup(wrapped)]
+
+    def test_shards_leave_no_cyclic_garbage(self):
+        """Every order-6 shard, pruned and unpruned, frees what it builds by
+        reference counting."""
+        gc.collect()
+        gc.disable()
+        try:
+            for shard in enumeration._shards(6, abelian_groups(5), None) + unpruned_shards(6):
+                enumeration._run_shard(shard)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 class TestBudget:
     """The module's clock is faked, so the budget runs out exactly where a
     test puts it."""
@@ -327,17 +428,16 @@ class TestBudget:
         monkeypatch.setattr(enumeration, "verified", _must_not_run)
         with pytest.raises(BudgetExceededError) as err:
             enumerate_hyperfields(5, SearchOptions(budget_seconds=10.0))
-        assert (err.value.scanned, err.value.survivors) == (3672, 48)
+        assert (err.value.scanned, err.value.survivors) == (1812, 27)
 
     def test_deadline_inside_a_shard_walk(self, clock, monkeypatch):
         # Every node polls the clock, which moves on 1 s per reading, so
         # the deadline passes at the fourth node of the first shard.
         monkeypatch.setattr(enumeration, "_BUDGET_STRIDE", 1)
         clock.step = 1.0
-        n, mul, zstar, first_idx, _ = enumeration._shards(6, abelian_groups(5), None)[0]
-        full = math.prod(len(c) for _, c in enumeration._slots(
-            n, mul, core.inverses(n, mul), zstar)[1:])
-        scanned, _, timed_out = enumeration._run_shard((n, mul, zstar, first_idx, 4.5))
+        pair, first, _ = enumeration._shards(6, abelian_groups(5), None)[0]
+        full = math.prod(len(c) for _, c in pair.slots[1:])
+        scanned, _, timed_out = enumeration._run_shard((pair, first, 4.5))
         assert timed_out and 0 < scanned < full
 
         clock.now = 0.0  # one worker: the shards run in this process
@@ -356,7 +456,7 @@ class TestBudget:
         monkeypatch.setattr(enumeration, "fingerprint", _must_not_run)
         with pytest.raises(BudgetExceededError) as err:
             enumerate_hyperfields(5, SearchOptions(budget_seconds=10.0))
-        assert (err.value.scanned, err.value.survivors) == (3672, 48)
+        assert (err.value.scanned, err.value.survivors) == (1812, 27)
 
 
 class TestWorkerPool:

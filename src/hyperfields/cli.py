@@ -9,6 +9,7 @@ never reported as a usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import sys
@@ -38,6 +39,7 @@ from .io_format import (
 from .iso import are_isomorphic, fingerprint
 
 
+@functools.cache  # built on first use; parsing leaves no state on it
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="hyperfields",
@@ -127,9 +129,13 @@ def _parse_gens(arg):
         raise DomainError(f"cannot parse --gens {arg!r}") from exc
 
 
+def _read_document(path):
+    """The parsed document at path; bad UTF-8 is a ParseError like bad JSON."""
+    return parse_document(Path(path).read_bytes())
+
+
 def _load_verified(path):
-    doc = parse_document(Path(path).read_text(encoding="utf-8"))
-    return verified(candidate_from_document(doc))
+    return verified(candidate_from_document(_read_document(path)))
 
 
 def cmd_construct(args) -> int:
@@ -170,7 +176,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    doc = parse_document(Path(args.path).read_text(encoding="utf-8"))
+    doc = _read_document(args.path)
     report = verify(candidate_from_document(doc))
     if args.report:
         for r in report.results:
@@ -223,7 +229,7 @@ def cmd_iso(args) -> int:
 
 
 def cmd_show(args) -> int:
-    doc = parse_document(Path(args.path).read_text(encoding="utf-8"))
+    doc = _read_document(args.path)
     labels = args.labels.split(",") if args.labels else doc.labels
     sys.stdout.write(pretty_table(candidate_from_document(doc), labels))
     return 0
@@ -247,10 +253,7 @@ def main(argv=None) -> int:
     except (AxiomViolationError, ConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DocumentError, DomainError, StructuralError, PreconditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DocumentError, DomainError, StructuralError, PreconditionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

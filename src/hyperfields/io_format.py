@@ -16,7 +16,7 @@ compactness at this scale); to_document() and pretty_table() decode each
 distinct cell mask once through core._members.  The parser enforces
 structure only -- shape, index ranges, nonempty sorted cells, and the
 normalization that zero behaves as index 0 and one as index 1; axiom
-checking stays on demand.
+checking stays on demand.  Each distinct cell is checked and converted once.
 render_document() emits one canonical byte form, so parse-then-render is
 the identity on rendered files.
 """
@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import json
 import string
-from dataclasses import dataclass
-from itertools import chain
-from operator import itemgetter
+from dataclasses import dataclass, field
+from itertools import chain, islice, repeat
+from operator import itemgetter, lt
 from typing import Optional
 
 from .core import Hyperfield, HyperfieldCandidate, _members
@@ -65,6 +65,7 @@ class HyperfieldDocument:
     order: int
     mul: tuple[tuple[int, ...], ...]
     hyperadd: tuple[tuple[tuple[int, ...], ...], ...]
+    masks: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)  # hyperadd as bitmasks
     labels: Optional[tuple[str, ...]] = None
     metadata: Optional[str] = None
 
@@ -92,33 +93,26 @@ def to_document(c, labels=None, metadata: Optional[str] = None) -> HyperfieldDoc
     c, labels = _with_labels(c, labels)
     cells = _members(c.hyperadd).__getitem__
     hyperadd = tuple(tuple(map(cells, row)) for row in c.hyperadd)
-    return HyperfieldDocument(FORMAT_VERSION, c.n, c.mul, hyperadd, labels, metadata)
+    return HyperfieldDocument(FORMAT_VERSION, c.n, c.mul, hyperadd, c.hyperadd, labels, metadata)
 
 
 def candidate_from_document(doc: HyperfieldDocument) -> HyperfieldCandidate:
-    return HyperfieldCandidate.from_sets(doc.order, doc.hyperadd, doc.mul)
+    return HyperfieldCandidate(doc.order, doc.masks, doc.mul)
 
 
 def render_document(doc: HyperfieldDocument) -> str:
     """Canonical text: fixed key order, one table row per line."""
-    out = ["{"]
-    out.append(f'  "version": {doc.version},')
-    out.append(f'  "order": {doc.order},')
+    def rows(table):  # tuple cells encode as arrays
+        return ",\n".join(f"    {json.dumps(list(row))}" for row in table)
+
+    out = ["{", f'  "version": {doc.version},', f'  "order": {doc.order},']
     if doc.labels is not None:
         out.append(f'  "labels": {json.dumps(list(doc.labels))},')
-    out.append('  "mul": [')
-    for i, row in enumerate(doc.mul):
-        comma = "," if i + 1 < len(doc.mul) else ""
-        out.append(f"    {json.dumps(list(row))}{comma}")
-    out.append("  ],")
-    out.append('  "hyperadd": [')
-    for i, row in enumerate(doc.hyperadd):
-        comma = "," if i + 1 < len(doc.hyperadd) else ""
-        out.append(f"    {json.dumps(list(row))}{comma}")  # tuple cells encode as arrays
-    tail = "," if doc.metadata is not None else ""
-    out.append(f"  ]{tail}")
-    if doc.metadata is not None:
-        out.append(f'  "metadata": {json.dumps(doc.metadata)}')
+    out += ['  "mul": [', rows(doc.mul), "  ],", '  "hyperadd": [', rows(doc.hyperadd)]
+    if doc.metadata is None:
+        out.append("  ]")
+    else:
+        out += ["  ],", f'  "metadata": {json.dumps(doc.metadata)}']
     out.append("}")
     return "\n".join(out) + "\n"
 
@@ -147,6 +141,8 @@ def parse_document(text) -> HyperfieldDocument:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from exc
+    except (RecursionError, ValueError) as exc:  # nested too deeply, or too many digits
+        raise ParseError(f"cannot decode: {exc}") from exc
 
     if not isinstance(raw, dict):
         raise ParseError("top level must be an object")
@@ -197,12 +193,41 @@ def parse_document(text) -> HyperfieldDocument:
         raise ParseError("hyperadd must be an array of arrays")
     if len(hyperadd) != n or any(len(r) != n for r in hyperadd):
         raise ValidationError(f"hyperadd must be {n}x{n}", code="dimensions")
-    for i, row in enumerate(hyperadd):
-        if (set(map(type, row)) == {list} and all(row)
-                and set(map(type, chain.from_iterable(row))) == {int}
-                and list(map(sorted, map(set, row))) == row
-                and 0 <= min(map(itemgetter(0), row)) and max(map(itemgetter(-1), row)) < n):
-            continue  # as for mul, with each cell nonempty and strictly ascending
+    cells, masks = _cells_and_masks(hyperadd, n)
+
+    # Index normalization: reject rather than relabel, so 0 and 1 sit at
+    # indices 0 and 1 in every stored table, as the verifier expects.
+    for y in range(n):
+        if cells[0][y] != (y,):
+            raise ValidationError(
+                f"zero must be index 0: hyperadd[0][{y}] != [{y}]",
+                code="identity-misplaced")
+        if mul[1][y] != y:
+            raise ValidationError(
+                f"one must be index 1: mul[1][{y}] != {y}",
+                code="identity-misplaced")
+
+    return HyperfieldDocument(version, n, tuple(map(tuple, mul)), cells, masks, labels, metadata)
+
+
+def _cells_and_masks(hyperadd, n):
+    """(cells as tuples, masks) of a hyperaddition table.  Types are tested on
+    every element, as (True,) == (1,) would hide a bool among distinct cells;
+    the rest once per distinct cell, at C level.  Laid end to end, the elements
+    ascend in every cell iff the ascents not across cells number len(flat) - len(distinct)."""
+    if (set(map(type, chain.from_iterable(hyperadd))) == {list}
+            and set(map(type, chain.from_iterable(chain.from_iterable(hyperadd)))) == {int}):
+        cells = tuple(tuple(map(tuple, row)) for row in hyperadd)
+        distinct = list(set(chain.from_iterable(cells)))
+        flat = list(chain.from_iterable(distinct))
+        if all(distinct) and 0 <= min(flat) and max(flat) < n:
+            ascents = sum(map(lt, flat, islice(flat, 1, None))) - sum(map(
+                lt, map(itemgetter(-1), distinct), islice(map(itemgetter(0), distinct), 1, None)))
+            if ascents == len(flat) - len(distinct):
+                pow2 = [1 << i for i in range(n)]  # after the range test: pow2[-1] wraps
+                mask = dict(zip(distinct, map(sum, map(map, repeat(pow2.__getitem__), distinct))))
+                return cells, tuple(tuple(map(mask.__getitem__, row)) for row in cells)
+    for i, row in enumerate(hyperadd):  # some cell breaks a rule: find the first
         for j, cell in enumerate(row):
             if not isinstance(cell, list):
                 raise ParseError(f"hyperadd cell at ({i},{j}) must be an array")
@@ -217,24 +242,6 @@ def parse_document(text) -> HyperfieldDocument:
             if list(cell) != sorted(set(cell)):
                 raise ValidationError(
                     f"cell at ({i},{j}) must be strictly ascending", code="cell-order")
-
-    # Index normalization: reject rather than relabel, so 0 and 1 sit at
-    # indices 0 and 1 in every stored table, as the verifier expects.
-    for y in range(n):
-        if hyperadd[0][y] != [y]:
-            raise ValidationError(
-                f"zero must be index 0: hyperadd[0][{y}] != [{y}]",
-                code="identity-misplaced")
-        if mul[1][y] != y:
-            raise ValidationError(
-                f"one must be index 1: mul[1][{y}] != {y}",
-                code="identity-misplaced")
-
-    return HyperfieldDocument(
-        version, n,
-        tuple(map(tuple, mul)),
-        tuple(tuple(map(tuple, r)) for r in hyperadd),
-        labels, metadata)
 
 
 def _grid(header: str, labels, rows) -> list[str]:

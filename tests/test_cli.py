@@ -25,7 +25,7 @@ from hyperfields import (
     to_document,
     verify,
 )
-from hyperfields.cli import main
+from hyperfields.cli import build_parser, main
 from conftest import SteppingClock, five_element_candidate
 from test_io_format import FIVE_TABLE_TEXT
 
@@ -399,3 +399,50 @@ class TestEntryPoint:
             [sys.executable, "-m", "hyperfields", "bogus"],
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 2
+
+
+UNREADABLE = {
+    "bad_utf8": (b"\xff\xfe{}", "not valid UTF-8"),
+    "deep_nesting": (b"[" * 100000 + b"]" * 100000, "maximum recursion depth"),
+    "long_integer": (b'{"version": 1, "order": ' + b"9" * 5000 + b"}", "digits"),
+}
+
+
+@pytest.mark.parametrize("content", UNREADABLE)
+@pytest.mark.parametrize("command", ["verify", "show", "iso"])
+def test_unreadable_document_is_exit_two(capsys, tmp_path, command, content):
+    data, message = UNREADABLE[content]
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    argv = [command, str(path)]
+    if command == "iso":
+        argv.insert(1, str(GOLDEN / "five_element.json"))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_main_reuses_its_parser_without_carrying_state(capsys, tmp_path):
+    """One process calls main with a usage error, then verify, show,
+    enumerate and iso; each call answers as it would on a fresh parser."""
+    golden = str(GOLDEN / "five_element.json")
+    other = tmp_path / "relabel.json"
+    other.write_text(render_document(to_document(relabel(five_element_candidate(),
+                                                         (0, 1, 3, 4, 2)))))
+    calls = [["enumerate", "--order", "3", "--jobs", "0"],
+             ["verify", "--report", golden],
+             ["show", golden, "--labels", "0,1,x,y,z"],
+             ["show", golden],
+             ["verify", golden],
+             ["enumerate", "--order", "3", "--count-only"],
+             ["iso", golden, str(other)]]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert fresh[0][0] == 2 and fresh[0][2].startswith("usage:")
+    assert [code for code, _, _ in fresh[1:]] == [0] * (len(calls) - 1)
+    build_parser.cache_clear()
+    assert [run_cli(capsys, *argv) for argv in calls] == fresh
+    assert build_parser.cache_info().misses == 1

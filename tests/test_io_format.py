@@ -1,4 +1,5 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,9 @@ from hyperfields import (
     pair_hyperfield,
     parse_document,
     pretty_table,
+    quotient,
     render_document,
+    subgroup_closure,
     to_document,
     verify,
 )
@@ -249,3 +252,183 @@ class TestDefaultLabels:
         labels = default_labels(30)
         assert labels[:2] == ("0", "1")
         assert labels[2] == "e2" and labels[29] == "e29"
+
+
+# A test-side reader that shares no code with io_format: json.loads, then one
+# explicit loop per cell in the parser's documented order (mul before
+# hyperadd, row by row, each element's type before its range, a cell's
+# order after its elements, the identities last).  It returns (cells, masks)
+# for a document whose top-level fields are valid, or the (error class,
+# code, message) the parser must raise.
+
+def oracle_read(text):
+    raw = json.loads(text)
+    n, mul = raw["order"], raw["mul"]
+    for i in range(n):
+        for j in range(n):
+            v = mul[i][j]
+            if type(v) is not int:
+                return ("ParseError", "malformed", f"mul[{i}][{j}] must be an integer")
+            if v < 0 or v >= n:
+                return ("ValidationError", "index-range",
+                        f"mul entry {v} at ({i},{j}) out of range")
+    cells, masks = [], []
+    for i in range(n):
+        cell_row, mask_row = [], []
+        for j in range(n):
+            cell = raw["hyperadd"][i][j]
+            if type(cell) is not list:
+                return ("ParseError", "malformed",
+                        f"hyperadd cell at ({i},{j}) must be an array")
+            if len(cell) == 0:
+                return ("ValidationError", "empty-cell", f"empty cell at ({i},{j})")
+            for v in cell:
+                if type(v) is not int:
+                    return ("ParseError", "malformed", f"hyperadd[{i}][{j}] must be an integer")
+                if v < 0 or v >= n:
+                    return ("ValidationError", "index-range",
+                            f"hyperadd entry {v} at ({i},{j}) out of range")
+            for k in range(1, len(cell)):
+                if cell[k - 1] >= cell[k]:
+                    return ("ValidationError", "cell-order",
+                            f"cell at ({i},{j}) must be strictly ascending")
+            mask = 0
+            for v in cell:
+                mask += 2 ** v
+            cell_row.append(tuple(cell))
+            mask_row.append(mask)
+        cells.append(tuple(cell_row))
+        masks.append(tuple(mask_row))
+    for y in range(n):
+        if cells[0][y] != (y,):
+            return ("ValidationError", "identity-misplaced",
+                    f"zero must be index 0: hyperadd[0][{y}] != [{y}]")
+        if mul[1][y] != y:
+            return ("ValidationError", "identity-misplaced",
+                    f"one must be index 1: mul[1][{y}] != {y}")
+    return tuple(cells), tuple(masks)
+
+
+def parser_read(text):
+    """What parse_document and candidate_from_document make of text, in the
+    oracle's terms."""
+    try:
+        doc = parse_document(text)
+    except DocumentError as err:
+        return (type(err).__name__, err.code, str(err))
+    return doc.hyperadd, candidate_from_document(doc).hyperadd
+
+
+def _quotient_of_order(n, p):
+    """The Krasner quotient of GF(p) by its subgroup of index n - 1."""
+    f = gf(p)
+    size = (p - 1) // (n - 1)
+    g = next(g for g in (subgroup_closure(f, [x]) for x in range(1, p))
+             if len(g.closure) == size)
+    return quotient(f, g)
+
+
+ORACLE_SOURCES = {
+    "pair8": lambda: pair_hyperfield(8),
+    "pair27": lambda: pair_hyperfield(27),
+    "pair64": lambda: pair_hyperfield(64),
+    "massouros8": lambda: massouros(gf(2, 3)),
+    "massouros25": lambda: massouros(gf(5, 2)),
+    "massouros64": lambda: massouros(gf(2, 6)),
+    "quotient8": lambda: _quotient_of_order(8, 29),
+    "quotient17": lambda: _quotient_of_order(17, 97),
+    "quotient64": lambda: _quotient_of_order(64, 127),
+}
+
+
+def _random_cells_text(seed, n):
+    """A structurally valid order-n document (not a hyperfield) whose cells
+    are random nonempty sets, with [3] next to [1, 2] in row 2."""
+    rng = random.Random(seed)
+    raw = json.loads(doc_text(pair_hyperfield(n).candidate))
+    for i in range(1, n):
+        for j in range(n):
+            raw["hyperadd"][i][j] = sorted(rng.sample(range(n), rng.randint(1, n)))
+    raw["hyperadd"][2][3:5] = [[3], [1, 2]]
+    return json.dumps(raw)
+
+
+class TestParseOracle:
+    """parse_document and candidate_from_document against oracle_read."""
+
+    @pytest.mark.parametrize("name", ["five_element.json", "krasner_two.json"])
+    def test_golden_documents(self, name):
+        text = (GOLDEN / name).read_text(encoding="utf-8")
+        assert parser_read(text) == oracle_read(text)
+
+    @pytest.mark.parametrize("name", ORACLE_SOURCES)
+    def test_constructed_documents(self, name):
+        text = doc_text(ORACLE_SOURCES[name]().candidate)
+        want = oracle_read(text)
+        assert len(want) == 2, want
+        assert parser_read(text) == want
+
+    @pytest.mark.parametrize("seed, n", [(1, 5), (2, 8), (3, 16), (4, 33)])
+    def test_random_valid_cells(self, seed, n):
+        text = _random_cells_text(seed, n)
+        want = oracle_read(text)
+        assert len(want) == 2, want
+        assert want[0][2][3:5] == ((3,), (1, 2))
+        assert parser_read(text) == want
+
+    @staticmethod
+    def faults(n):
+        return [[], [2, 1], [1, 1], [0, n], [-1], [True], [1.0], [[1]], {}, "x"]
+
+    @pytest.mark.parametrize("name", ["pair8", "massouros25", "quotient17"])
+    def test_one_fault(self, name):
+        base = json.loads(doc_text(ORACLE_SOURCES[name]().candidate))
+        n = base["order"]
+        rng = random.Random(name)
+        for fault in self.faults(n):
+            for _ in range(4):
+                raw = json.loads(json.dumps(base))
+                i, j = rng.randrange(n), rng.randrange(n)
+                raw["hyperadd"][i][j] = fault
+                text = json.dumps(raw)
+                want = oracle_read(text)
+                assert len(want) == 3, (fault, i, j)
+                assert parser_read(text) == want, (fault, i, j)
+
+    @pytest.mark.parametrize("name", ["pair8", "massouros25", "quotient17"])
+    def test_two_faults_report_the_earlier(self, name):
+        base = json.loads(doc_text(ORACLE_SOURCES[name]().candidate))
+        n = base["order"]
+        rng = random.Random(name)
+        faults = self.faults(n)
+        for first in faults:
+            for second in faults:
+                raw = json.loads(json.dumps(base))
+                i, k = sorted(rng.sample(range(n), 2))
+                j, m = rng.randrange(n), rng.randrange(n)
+                raw["hyperadd"][i][j] = first
+                raw["hyperadd"][k][m] = second
+                text = json.dumps(raw)
+                got = parser_read(text)
+                assert got == oracle_read(text), (first, (i, j), second, (k, m))
+                assert f"({i},{j})" in got[2] or f"[{i}][{j}]" in got[2]
+
+    def test_two_faults_in_one_row(self):
+        base = json.loads(doc_text(massouros(gf(2, 3)).candidate))
+        for first, second in [([2, 1], []), ([1, 1], [-1]), ([True], [0, 8]),
+                              ({}, [1.0]), ([[1]], "x")]:
+            raw = json.loads(json.dumps(base))
+            raw["hyperadd"][5][6], raw["hyperadd"][5][2] = first, second
+            text = json.dumps(raw)
+            got = parser_read(text)
+            assert got == oracle_read(text)
+            assert "(5,2)" in got[2] or "[5][2]" in got[2]
+
+
+@pytest.mark.parametrize("text", ["[" * 100000 + "]" * 100000,
+                                  '{"version": 1, "order": ' + "9" * 5000 + "}"])
+def test_undecodable_json_is_a_parse_error(text):
+    with pytest.raises(ParseError) as err:
+        parse_document(text)
+    assert err.value.code == "malformed"
+    assert str(err.value).startswith("cannot decode: ")

@@ -311,14 +311,17 @@ def _extensions(choices, along_edges, images, phi):
 #     the greedy generators of the nonzero part proves the table
 #     associative.  Otherwise each (x, y) compares the rows (x.y).z and
 #     x.(y.z) over z.
-#   KR3: x is taken in ascending order, where some row is a suspect (see
-#     below; with none KR3 holds).  x = 0 distributes where 0 is absorbing
-#     and 0 (+) 0 = {0}, and x = 1 where 1 is the identity.  If g and c
-#     distribute, so does any x whose row is g.(c.w) over w and whose column
-#     is (w.g).c over w: apply the laws of c and then those of g.  An x that
-#     no pair (g, c) has certified this way, with g shown distributive and c
-#     certified, is scanned, and the first x that fails its scan is the
-#     first x that fails at all.  Each pair is tried once, at O(n).
+#   KR3: the left law at x is the distributivity of the map rows[x],
+#     w -> x.w, and the right law that of cols[x] (see below); the witness
+#     at x is the least (y, z, law), left first.  x is taken in ascending
+#     order where some row is a suspect (with none KR3 holds).  x = 0
+#     distributes where 0 is absorbing and 0 (+) 0 = {0}, and x = 1 where
+#     1 is the identity.  If g and c distribute, so does any x whose row is
+#     g.(c.w) over w and whose column is (w.g).c over w: apply the laws of
+#     c and then those of g.  An x that no pair (g, c) has certified this
+#     way, with g shown distributive and c certified, is scanned, and the
+#     first x that fails its scan is the first x that fails at all.  Each
+#     pair is tried once, at O(n).
 #   CH1 and CH5: a left multiplication s: w -> x.w that is a bijection,
 #     fixes 0 and distributes is an automorphism of (H, (+)), and it maps a
 #     violation at (x, y, z) to one at (s x, s y, s z) with the same reason
@@ -354,11 +357,11 @@ def _extensions(choices, along_edges, images, phi):
 #     outside the suspects; KR3 reads the rows of y and of x.y = y.x.  So
 #     for x not a suspect, CH1 and CH5 visit only the suspect y and the y
 #     with x (+) y meeting a suspect, CH5 every y also where x' is
-#     undefined or a suspect, and KR3, and the orbit search's
-#     distributivity test, only the y with y or x.y a suspect.  A y skipped
-#     holds for every z, so each scan keeps its order and returns the same
-#     first witness; masks are decoded only for the rows visited, and
-#     table-wide where every row is a suspect.
+#     undefined or a suspect, and the distributivity scan of x's row or
+#     column only the y with y or x.y a suspect.  A y skipped holds for
+#     every z, so each scan keeps its order and returns the same first
+#     witness; masks are decoded only for the rows visited, and table-wide
+#     where every row is a suspect.
 #
 # A scan takes a whole row over z at a time: for fixed x and y each side
 # becomes a sequence over z, built by C-level map() and compared with one
@@ -368,8 +371,11 @@ def _extensions(choices, along_edges, images, phi):
 # x every mask's image is computed once into a dict that is dropped before
 # the next x.  For CH1, the row (x (+) y) (+) z over z depends only on the
 # mask x (+) y, so it is built once per distinct mask by _sum_row() as the
-# OR of the rows of its members.  Cells must be nonempty there, which
-# validate_candidate() and the enumeration kernel's expansion guarantee.
+# OR of the rows of its members.  Distributivity is one fact per map s,
+# the first (y, z) with s(y (+) z) != s(y) (+) s(z): _miss() scans each map
+# once into the table's misses dict, for KR3's laws and the orbit search
+# alike.  Cells must be nonempty, which validate_candidate() and the
+# enumeration kernel's expansion guarantee.
 #
 # Cost on a hyperfield: Light's test compares n-2 rows of length n per
 # greedy generator, and a group of order n-1 has at most log2(n-1) of those
@@ -379,17 +385,17 @@ def _extensions(choices, along_edges, images, phi):
 # cells of bounded size, such as the triple-sum and pair hyperfields, and
 # with no suspects the CH1, CH5 and KR3 scans visit nothing.  A table whose
 # multiplication is one cell off a group's keeps the automorphisms of the
-# intact rows, so CH1 and CH5 scan 0 and the few leaders of the group those
-# generate, and KR3 scans the greedy generators and the x below its witness
-# that no pair reaches: O(n^2 log n) on bounded cells.  A hyperaddition
-# corruption breaks the automorphisms (the cell-size test usually shows it
-# at once), so CH1 and CH5 scan every x up to their witness; where row 1
-# still expands to a hyperfield E, each x not a suspect costs O(n) plus O(n)
-# per y visited, a few y on bounded cells, so a corruption of a few cells
-# costs O(n^2) besides deciding E, O(n^2 log n).  A corrupted row 1
-# usually leaves E no hyperfield, and then the scans visit every y, O(n^3)
-# when the witness sits near row n.  KR1 is proved by Light's test, and
-# KR3 fails at its first x that does not distribute.
+# intact rows: the orbit search scans the rows of a few generators, CH1
+# and CH5 scan 0 and the few leaders of the group those generate, and KR3
+# reads those scans and scans the x below its witness that no pair
+# reaches: O(n^2 log n) on bounded cells.  A hyperaddition corruption
+# breaks the automorphisms (the search's first scan usually shows it), so
+# CH1 and CH5 scan every x up to their witness; where row 1 still expands
+# to a hyperfield E, each x not a suspect costs O(n) plus O(n) per y
+# visited, a few y on bounded cells, so a corruption of a few cells costs
+# O(n^2) besides deciding E, O(n^2 log n).  A corrupted row 1 usually
+# leaves E no hyperfield, and then the scans visit every y, O(n^3) when
+# the witness sits near row n.
 
 
 class _Bits(dict):
@@ -430,16 +436,6 @@ def _first_difference(a, b):
     return next(i for i, (u, v) in enumerate(zip(a, b)) if u != v)
 
 
-def _distribution_rows(t, s, ys):
-    """For each y in ys, the rows over z of s(y (+) z) and of s(y) (+) s(z),
-    where s lists the values of a map of the carrier: s distributes over
-    (+) exactly where the two agree."""
-    hyperadd = t.hyperadd
-    scale = _images(_bits_of_rows(t, ys), [1 << v for v in s]).__getitem__
-    for y in ys:
-        yield list(map(scale, hyperadd[y])), list(map(hyperadd[s[y]].__getitem__, s))
-
-
 def _leaders(n, perms):
     """The least element of each orbit of the group the permutations
     generate, ascending.  In a finite group the orbits are those of the
@@ -477,10 +473,11 @@ class _Table:
     """One verify() call's view of a table: n, hyperadd and mul as given
     (tuple or list rows), and the facts the axiom checks share, each
     computed at most once.  suspects is the one fact CH1, CH5 and KR3 are
-    decided from: where it is 0 they hold."""
+    decided from: where it is 0 they hold.  misses holds the distributivity
+    fact of each map asked of _miss()."""
 
     def __init__(self, n, hyperadd, mul):
-        self.n, self.hyperadd, self.mul = n, hyperadd, mul
+        self.n, self.hyperadd, self.mul, self.misses = n, hyperadd, mul, {}
 
     @_fact
     def members(t):
@@ -570,20 +567,17 @@ class _Table:
         each orbit under the automorphisms of (+) found among the left
         multiplications.  Each x in 2..n-1 that leads its orbit so far is a
         generator when its row is a bijection fixing 0 that distributes over
-        (+); the search stops at the first such bijection that does not."""
+        (+), as _miss() tells, which KR3 reads too; the search stops at the
+        first such bijection that does not."""
         if not t.suspects:
             return [0, 1]
         n = t.n
-        sizes = [list(map(int.bit_count, row)) for row in t.hyperadd]
         perms = []
         leaders = list(range(n))
         for x, row in enumerate(t.rows[2:], 2):
             if x not in leaders or row[0] != 0 or len(set(row)) != n:
                 continue
-            # an automorphism keeps the size of every cell, which is quick to test first
-            if (any(list(map(sizes[row[y]].__getitem__, row)) != sizes[y] for y in range(n))
-                    or any(got != want for got, want
-                           in _distribution_rows(t, row, _scaled_ys(t, row)))):
+            if _miss(t, row) is not None:
                 break
             perms.append(row)
             leaders = _leaders(n, perms)
@@ -602,11 +596,26 @@ def _sum_ys(t, x, read):
     return [y for y, m in enumerate(t.hyperadd[x]) if (m | 1 << y) & s]
 
 
-def _scaled_ys(t, s):
-    """The y at which s(y (+) z) and s(y) (+) s(z) can differ for some z,
-    for a multiplication s: each y where y or s(y) is a suspect."""
-    suspects = t.suspects
-    return [y for y, sy in enumerate(s) if (1 << y | 1 << sy) & suspects]
+def _miss(t, s):
+    """The first (y, z) at which the map s of the carrier, the tuple of its
+    values, fails s(y (+) z) = s(y) (+) s(z), or None.  Each map is scanned
+    at most once per table: t.misses keeps the answer."""
+    if s not in t.misses:
+        t.misses[s] = _find_miss(t, s)
+    return t.misses[s]
+
+
+def _find_miss(t, s):
+    """_miss() without the memo, for s a row or column of mul: only a y
+    where y or s(y) is a suspect can fail."""
+    hyperadd, suspects = t.hyperadd, t.suspects
+    ys = [y for y, sy in enumerate(s) if (1 << y | 1 << sy) & suspects]
+    scale = _images(_bits_of_rows(t, ys), [1 << v for v in s]).__getitem__
+    for y in ys:
+        got, want = list(map(scale, hyperadd[y])), list(map(hyperadd[s[y]].__getitem__, s))
+        if got != want:
+            return y, _first_difference(got, want)
+    return None
 
 
 def _bits_of_rows(t, ys):
@@ -724,20 +733,6 @@ def kr2_violation(t):
     return None
 
 
-def _kr3_scan(t, x):
-    """The first KR3 violation at x."""
-    ys = _scaled_ys(t, t.rows[x])  # rows[x] is cols[x] unless every row is a suspect
-    rows = zip(ys, _distribution_rows(t, t.rows[x], ys), _distribution_rows(t, t.cols[x], ys))
-    for y, (left, left_want), (right, right_want) in rows:
-        if left != left_want or right != right_want:
-            for z in range(t.n):
-                if left[z] != left_want[z]:
-                    return (x, y, z), "left distributivity fails"
-                if right[z] != right_want[z]:
-                    return (x, y, z), "right distributivity fails"
-    return None
-
-
 def kr3_violation(t):
     if not t.suspects:
         return None
@@ -748,9 +743,12 @@ def kr3_violation(t):
     for x in range(n):
         if certified[x]:
             continue
-        hit = None if x < 2 and outright[x] else _kr3_scan(t, x)
-        if hit is not None:
-            return hit
+        if not (x < 2 and outright[x]):  # the least (y, z, law); "left" < "right"
+            misses = [(*m, law) for law, m in (("left", _miss(t, rows[x])),
+                                               ("right", _miss(t, cols[x]))) if m]
+            if misses:
+                y, z, law = min(misses)
+                return (x, y, z), law + " distributivity fails"
         pairs = [(x, c) for c in range(n) if certified[c]] + [(g, x) for g in shown + [x]]
         certified[x] = True
         shown.append(x)
@@ -911,18 +909,16 @@ def verify(c: HyperfieldCandidate) -> AxiomReport:
     failed axiom is reported with its lexicographically first witness.  The
     four cubic deciders try a theorem first and scan second (see the
     comment on the axiom checks): KR1 Light's test, else a row scan; CH1,
-    CH5 and KR3 the suspect rows.  Where the expansion E of the table's own
-    row 1 is a hyperfield (by the symmetry of v(a) (+) u for CH1), the
-    suspects are the rows where the table leaves E, else every row; every
-    violation of CH1, CH5 or KR3 reads a suspect row, since an instance
-    that reads none evaluates as in E, so a table with no suspects passes
-    all three, and otherwise the scans visit only the (x, y) that read a
+    CH5 and KR3 the suspect rows, where c leaves the expansion E of its own
+    row 1 while E is a hyperfield, else every row.  With no suspects all
+    three hold; otherwise the scans visit only the (x, y) that read a
     suspect row: KR3 the x that no composition of distributive
     multiplications certifies, CH1 and CH5 one x per orbit of the
-    automorphisms of (+).  A hyperfield with
-    cells of bounded size passes in O(n^2 log n), and a table a few
-    hyperaddition cells off one fails in O(n^2 log n); one whose row 1 or
-    multiplication breaks the automorphisms can cost O(n^3).
+    automorphisms of (+).  Each map's distributivity is scanned at most
+    once, for KR3 and the orbit search alike.  A hyperfield with cells of
+    bounded size passes in O(n^2 log n), and a table a few hyperaddition
+    cells off one fails in O(n^2 log n); one whose row 1 or multiplication
+    breaks the automorphisms can cost O(n^3).
     """
     validate_candidate(c)
     t = _Table(c.n, c.hyperadd, c.mul)

@@ -35,8 +35,9 @@ chosen:
       the masks of the free rows in slot order.  Only the least map of each
       orbit is kept: z* is least in its orbit under Aut(G), the first row
       m (of z = 1, which every sigma fixes) has sigma(m) >= m for every
-      sigma fixing z*, and a leaf that passes CH1 is no larger than its
-      image under any such sigma.
+      sigma fixing z*, and a leaf is no larger than its image under any
+      such sigma, which is tested before the leaf is expanded, as every
+      map of an orbit passes CH1 or none does.
 
 So each survivor is the first map of its class in walk order, the one a
 deduplication of the unpruned walk keeps.  Survivors are verified in full
@@ -185,8 +186,8 @@ def _run_shard(args):
     turn, so leaves come in the order of the product of the slots.  Returns
     (scanned, survivors, timed_out): scanned counts the maps decided, a
     pruned subtree counting every map below it; survivors are (hyperadd,
-    mul) table pairs that passed the CH1 symmetry test and are least in
-    their orbit.  The walk is one loop over an iterator per depth, so a
+    mul) table pairs that are least in their orbit and pass the CH1
+    symmetry test.  The walk is one loop over an iterator per depth, so a
     shard leaves no reference cycle behind.
     """
     pair, first, deadline = args
@@ -220,9 +221,10 @@ def _run_shard(args):
                 break
             else:
                 scanned += 1
-                hyperadd = _expand(n, mul, inv, smul, masks)
-                if ch1_violation(hyperadd) is None and _least(masks, keys, rivals):
-                    survivors.append((tuple(map(tuple, hyperadd)), mul))
+                if _least(masks, keys, rivals):
+                    hyperadd = _expand(n, mul, inv, smul, masks)
+                    if ch1_violation(hyperadd) is None:
+                        survivors.append((tuple(map(tuple, hyperadd)), mul))
         else:
             d -= 1
     return scanned, survivors, False

@@ -233,26 +233,32 @@ def greedy_generators(n, mul) -> Iterator[int]:
             reached = set(span(mul, gens))
 
 
-def group_isomorphisms(n, mul1, mul2) -> Iterator[tuple[int, ...]]:
+def group_isomorphisms(n, mul1, mul2, colours=None) -> Iterator[tuple[int, ...]]:
     """Every isomorphism of the nonzero groups of mul1 and mul2, each as a
-    permutation of 0..n-1 that fixes 0.
+    permutation of 0..n-1 that fixes 0; given colours, a pair of colourings
+    of the two carriers by ints, only those that keep each colour.
 
-    Greedy generators of the first group take images of equal order by
-    backtracking.  Each partial choice is extended from 1 along generator
-    edges, a -> a.g mapping to phi(a) -> phi(a).phi(g), and dropped on the
-    first contradiction or repeated image; a full choice that survives is a
-    homomorphism on a generating set, injective, hence an isomorphism.
-    The search holds no reference cycle, so an abandoned call leaves no
-    garbage for the cyclic collector.
+    Greedy generators of the first group take images of equal key, the
+    order, paired with the colour where colours are given, by backtracking.
+    Each partial choice is extended from 1 along generator edges, a -> a.g
+    mapping to phi(a) -> phi(a).phi(g), and dropped on the first
+    contradiction, repeated image or change of key; a full choice that
+    survives is a homomorphism on a generating set, injective, hence an
+    isomorphism.  Colours prune only maps that break them, so the survivors
+    keep their lexicographic order.  The search holds no reference cycle,
+    so an abandoned call leaves no garbage for the cyclic collector.
     """
-    ord1, ord2 = element_orders(n, mul1), element_orders(n, mul2)
-    if sorted(ord1) != sorted(ord2):
+    key1, key2 = element_orders(n, mul1), element_orders(n, mul2)
+    if colours is not None:  # (order, colour) as colour.n + order, as orders are below n
+        key1 = [c * n + k for k, c in zip(key1, colours[0])]
+        key2 = [c * n + k for k, c in zip(key2, colours[1])]
+    if sorted(key1) != sorted(key2):
         return
-    by_order: dict[int, list[int]] = {}
+    by_key: dict[int, list[int]] = {}
     for x in range(1, n):
-        by_order.setdefault(ord2[x], []).append(x)
+        by_key.setdefault(key2[x], []).append(x)
     gens = list(greedy_generators(n, mul1))
-    choices = [by_order[ord1[g]] for g in gens]
+    choices = [by_key[key1[g]] for g in gens]
 
     def along_edges(images):
         # phi on the span of gens[:len(images)], or None on a clash.
@@ -266,7 +272,7 @@ def group_isomorphisms(n, mul1, mul2) -> Iterator[tuple[int, ...]]:
             for g, u in edges:
                 b, img = row1[g], row2[u]
                 if phi[b] != img:
-                    if phi[b] or img in used:  # a contradiction or a repeated image
+                    if phi[b] or img in used or key1[b] != key2[img]:
                         return None
                     phi[b] = img
                     used.add(img)
@@ -304,13 +310,13 @@ def _extensions(choices, along_edges, images, phi):
 # of every triple in lexicographic order would.
 #
 #   KR1: Light's test (Clifford & Preston, The Algebraic Theory of
-#     Semigroups I, section 1.4).  The s with (x.s).y = x.(s.y) for all
-#     x, y are closed under products, since (x.ab).y = ((x.a).b).y =
-#     (x.a).(b.y) = x.(a.(b.y)) = x.(ab.y).  Where 1 is a two-sided
-#     identity and 0 two-sided absorbing, both lie in that set, so checking
-#     the greedy generators of the nonzero part proves the table
-#     associative.  Otherwise each (x, y) compares the rows (x.y).z and
-#     x.(y.z) over z.
+#     Semigroups I, section 1.4).  In any magma the s with (x.s).y =
+#     x.(s.y) for all x, y are closed under products, since (x.ab).y =
+#     ((x.a).b).y = (x.a).(b.y) = x.(a.(b.y)) = x.(ab.y).  Where 1 is a
+#     two-sided identity and 0 two-sided absorbing, both lie in that set,
+#     so checking greedy generators whose span with 0 is the carrier proves
+#     the table associative, zero divisors or not.  Otherwise each (x, y)
+#     compares the rows (x.y).z and x.(y.z) over z.
 #   KR3: the left law at x is the distributivity of the map rows[x],
 #     w -> x.w, and the right law that of cols[x] (see below); the witness
 #     at x is the least (y, z, law), left first.  x is taken in ascending
@@ -511,14 +517,15 @@ class _Table:
     @_fact
     def associative(t):
         """Light's test on the greedy generators, given the identity and
-        the absorbing zero.  More generators than a group of order n-1 can
-        have means no group."""
+        the absorbing zero, where there are no more than a group of order
+        n-1 can have: then they ran out, so {0} and their span cover the
+        carrier."""
         n, rows = t.n, t.rows
         if not all(t.neutral):
             return False
         limit = (n - 1).bit_length()
         gens = list(islice(greedy_generators(n, rows), limit + 1))
-        if len(gens) > limit or len(span(rows, gens)) != n - 1:
+        if len(gens) > limit:
             return False
         # (x.s).y against x.(s.y) over y
         return all(rows[mx[s]] == tuple(map(mx.__getitem__, rows[s]))

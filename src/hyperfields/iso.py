@@ -3,13 +3,15 @@
 A hyperfield isomorphism fixes 0 and 1 and restricts to a group isomorphism
 of the nonzero multiplicative parts.  Distributivity forces the whole
 hyperaddition from the row v(z) = 1(+)z, so the hyperfield isomorphisms are
-the group isomorphisms tau with tau(v(z)) = v'(tau(z)).  Group isomorphisms
-come from core.group_isomorphisms in lexicographic order: the greedy
-generators are the smallest elements outside the span of the earlier ones,
-and their images are tried in ascending order.  Masks are decoded by
-core._members and carried by core._images, each distinct mask once:
-fingerprint and are_isomorphic decode row 1 once per call, and
-is_isomorphism compares core.relabel's image with the second table.
+the group isomorphisms tau with tau(v(z)) = v'(tau(z)), which keep each
+cell size |v(z)|.  Group isomorphisms come from core.group_isomorphisms in
+lexicographic order: the greedy generators are the smallest elements
+outside the span of the earlier ones, and their images are tried in
+ascending order; are_isomorphic passes the cell sizes of row 1 as colours,
+so only maps that keep them are tried.  Masks are decoded by core._members
+and carried by _carry, each distinct mask once: fingerprint and
+are_isomorphic decode row 1 once per call, and is_isomorphism compares
+core.relabel's image with the second table.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from typing import Optional
 
 from .core import (
     Hyperfield,
-    _images,
     _members,
     element_orders,
     group_isomorphisms,
@@ -29,10 +30,16 @@ from .core import (
 from .galois import abelian_group_orders, abelian_group_tables
 
 
+def _carry(members, tau):
+    """Each mask of members -> its image under the bijection tau, carried
+    once.  Distinct members go to distinct bits, so their sum is their OR."""
+    bit = [1 << w for w in tau].__getitem__
+    return {m: sum(map(bit, bits)) for m, bits in members.items()}.__getitem__
+
+
 def _carried(members, v, tau):
-    """tau.v.tau^-1: the row of tau(z) is the image of v(z) under tau.
-    members decodes the masks of v; each is carried once."""
-    carry = _images(members, [1 << w for w in tau]).__getitem__
+    """tau.v.tau^-1: the row of tau(z) is the image of v(z) under tau."""
+    carry = _carry(members, tau)
     return list(map(carry, map(v.__getitem__, sorted(range(len(v)), key=tau.__getitem__))))
 
 
@@ -77,17 +84,18 @@ def is_isomorphism(c1, c2, perm) -> bool:
 def are_isomorphic(h1: Hyperfield, h2: Hyperfield) -> Optional[IsoWitness]:
     """The lexicographically first isomorphism witness, or None.
 
-    Group isomorphisms of the nonzero parts come in lexicographic order, so
-    the first that carries row 1 onto row 1 (mul and row 1 fix a verified
-    hyperfield, so it preserves the hyperaddition) is the answer.
+    Group isomorphisms keeping the cell sizes of row 1 come in lexicographic
+    order, so the first that carries row 1 onto row 1 (mul and row 1 fix a
+    verified hyperfield, so it preserves the hyperaddition) is the answer.
     """
     h1 = require_verified(h1)
     h2 = require_verified(h2)
     if h1.n != h2.n:
         return None
-    v1, v2 = h1.hyperadd[1], list(h2.hyperadd[1])
+    v1, v2 = h1.hyperadd[1], h2.hyperadd[1]
     members = _members((v1,))
-    for perm in group_isomorphisms(h1.n, h1.mul, h2.mul):
-        if _carried(members, v1, perm) == v2:
+    sizes = list(map(int.bit_count, v1)), list(map(int.bit_count, v2))
+    for perm in group_isomorphisms(h1.n, h1.mul, h2.mul, sizes):
+        if list(map(_carry(members, perm), v1)) == list(map(v2.__getitem__, perm)):
             return IsoWitness(perm)
     return None

@@ -1,5 +1,6 @@
 import gc
 import random
+import sys
 from itertools import combinations, permutations
 
 import pytest
@@ -22,7 +23,7 @@ from hyperfields import (
     verified,
 )
 from hyperfields import galois, iso
-from hyperfields.core import element_orders, group_isomorphisms, span
+from hyperfields.core import element_orders, greedy_generators, group_isomorphisms, span
 from conftest import brute_isomorphic, mutated_five, preserves_structure
 
 
@@ -415,3 +416,151 @@ def test_isomorphism_searches_leave_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# --- the search refined by colours -------------------------------------------
+
+
+def _keeps(colours, perm):
+    c1, c2 = colours
+    return all(c1[x] == c2[p] for x, p in enumerate(perm))
+
+
+def _colourings(rng, n, uncoloured):
+    """Seeded pairs of colourings by small ints: independent ones, which
+    few isomorphisms keep, and ones pulled through a random isomorphism,
+    which at least that one keeps."""
+    pairs = []
+    for k in (1, 2, 3):
+        for _ in range(4):
+            pairs.append(([rng.randrange(-1, k) for _ in range(n)],
+                          [rng.randrange(-1, k) for _ in range(n)]))
+        if uncoloured:
+            perm = rng.choice(uncoloured)
+            c1 = [rng.randrange(-1, k) for _ in range(n)]
+            c2 = [0] * n
+            for x, p in enumerate(perm):
+                c2[p] = c1[x]
+            pairs.append((c1, c2))
+    return pairs
+
+
+def _along_edges_calls(search):
+    """The maps of a search, and how many partial choices it extended:
+    the calls of its along_edges step, counted by a profile hook."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "along_edges":
+            calls.append(None)
+
+    sys.setprofile(profile)
+    try:
+        found = list(search)
+    finally:
+        sys.setprofile(None)
+    return found, len(calls)
+
+
+def _quotient(p, s):
+    """GF(p) modulo its subgroup of order s: 1 + (p-1)/s elements."""
+    f = gf(p)
+    return quotient(f, subgroup_closure(f, (element_orders(p, f.mul).index(s),)))
+
+
+def _first_uncoloured(a, b):
+    """The first map of the uncoloured search that preserves both tables."""
+    for perm in group_isomorphisms(a.n, a.mul, b.mul):
+        if is_isomorphism(a, b, perm):
+            return perm
+    return None
+
+
+# (p, s) with GF(p)/C_s of order 8 to 64; two of each order 8 and 64.
+QUOTIENTS = ((29, 4), (43, 6), (37, 4), (61, 5), (37, 2), (173, 4), (181, 4),
+             (127, 2), (379, 6))
+
+
+class TestColouredSearch:
+    """group_isomorphisms with colours yields exactly the uncoloured maps
+    that keep the colours, in the same order, and are_isomorphic, which
+    colours by the cell sizes of row 1, keeps its first witness."""
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_coloured_search_is_the_filtered_search(self, m):
+        rng = random.Random(f"colours{m}")
+        n = m + 1
+        verdicts = set()
+        for mul1 in abelian_groups(m):
+            for mul2 in abelian_groups(m):
+                tail = list(range(2, n))
+                rng.shuffle(tail)
+                other = _relabel_mul(mul2, (0, 1, *tail))
+                uncoloured = list(group_isomorphisms(n, mul1, other))
+                brute = _brute_group_isomorphisms(mul1, other)
+                for colours in _colourings(rng, n, uncoloured):
+                    coloured = list(group_isomorphisms(n, mul1, other, colours))
+                    assert coloured == [p for p in uncoloured if _keeps(colours, p)]
+                    assert set(coloured) == {p for p in brute if _keeps(colours, p)}
+                    verdicts.add(bool(coloured))
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("m, i, mul", GROUP_TABLES,
+                             ids=[f"m{m}-{i}" for m, i, _ in GROUP_TABLES])
+    def test_discrete_colouring_extends_once_per_generator(self, m, i, mul):
+        """Where every element has its own colour, each generator has one
+        image to try, so the search extends the empty choice and then one
+        choice per generator: colours prune the images of the generators,
+        not only the maps built from them."""
+        n = m + 1
+        tail = list(range(2, n))
+        random.Random(f"discrete{m}:{i}").shuffle(tail)
+        perm = (0, 1, *tail)
+        other = _relabel_mul(mul, perm)
+        colours = (list(range(n)), [0] * n)
+        for x, p in enumerate(perm):
+            colours[1][p] = x
+        found, calls = _along_edges_calls(group_isomorphisms(n, mul, other, colours))
+        assert found == [perm]
+        assert calls == 1 + len(list(greedy_generators(n, mul)))
+
+    @pytest.mark.parametrize("p, s", QUOTIENTS, ids=[f"gf{p}-by-{s}" for p, s in QUOTIENTS])
+    def test_witness_is_the_first_of_the_uncoloured_search(self, p, s):
+        h = _quotient(p, s)
+        pool = [h, *_relabelled_copies(h, 2, f"q{p}:{s}")]
+        same_order = [_quotient(*q) for q in QUOTIENTS if q != (p, s)
+                      and 1 + (q[0] - 1) // q[1] == h.n]
+        for a in pool:
+            for b in pool + same_order:
+                w = are_isomorphic(a, b)
+                assert (w and w.mapping) == _first_uncoloured(a, b)
+                assert (w is None) == (b in same_order)
+
+    def test_order_four_classes_with_equal_size_multisets(self, enum_classes):
+        """Two classes of order 4 share the multiset of (order, |v(z)|):
+        the colours prune nothing up front, and the search finds no map."""
+        def sizes(h):
+            return sorted(zip(element_orders(h.n, h.mul), map(int.bit_count, h.hyperadd[1])))
+
+        classes = enum_classes[4]
+        alike = [(a, b) for i, a in enumerate(classes) for b in classes[i + 1:]
+                 if sizes(a) == sizes(b)]
+        assert len(alike) == 1
+        for a, b in (alike[0], alike[0][::-1]):
+            assert are_isomorphic(a, b) is None
+            assert brute_isomorphic(a.candidate, b.candidate) is None
+
+    def test_pruning_search_leaves_no_cyclic_garbage(self):
+        """Searches that drop maps for their colours, abandoned at their
+        first map, free everything by reference counting."""
+        h = _quotient(173, 4)
+        other = _relabelled_copies(h, 1, "garbage")[0]
+        sizes = ([m.bit_count() for m in h.hyperadd[1]],) * 2
+        gc.collect()
+        gc.disable()
+        try:
+            next(group_isomorphisms(h.n, h.mul, h.mul, sizes))
+            assert are_isomorphic(h, other) is not None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

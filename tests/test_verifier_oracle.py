@@ -563,6 +563,62 @@ def test_lights_test_passes_every_group_table(m):
             assert core._Table(n, hyperadd, relabelled).associative
 
 
+def kr1_expected(c):
+    hit = kr1_oracle(c.n, None, c.mul)
+    return AxiomResult("KR1", True) if hit is None else AxiomResult("KR1", False, *hit)
+
+
+PRODUCT_FACTORS = {"k2": lambda: massouros(gf(2)), "m3": lambda: massouros(gf(3)),
+                   "m5": lambda: massouros(gf(5)), "pair6": lambda: pair_hyperfield(6),
+                   "five": lambda: verified(five_element_candidate())}
+PRODUCT_PAIRS = [(a, b) for a in PRODUCT_FACTORS for b in PRODUCT_FACTORS]
+
+
+@pytest.mark.parametrize("a, b", PRODUCT_PAIRS, ids=[f"{a}x{b}" for a, b in PRODUCT_PAIRS])
+def test_lights_test_decides_kr1_on_products(a, b):
+    """A product's nonzero part has zero divisors, so it is no group, but
+    its 1 and 0 are neutral: Light's test proves KR1 wherever its greedy
+    generators stay within the bound, and the scan decides the rest.  Each
+    one-cell change of mul gets the oracle's verdict and witness too."""
+    c = product_candidate(PRODUCT_FACTORS[a](), PRODUCT_FACTORS[b]())
+    n = c.n
+    fits = len(list(core.greedy_generators(n, c.mul))) <= (n - 1).bit_length()
+    assert core._Table(n, c.hyperadd, c.mul).associative == fits
+    assert verify(c)["KR1"] == kr1_expected(c) == AxiomResult("KR1", True)
+    rng = random.Random(f"{a}x{b}")
+    for x, y in [(rng.randrange(n), rng.randrange(n))] + [
+            (rng.randrange(2, n), rng.randrange(2, n)) for _ in range(4)]:
+        v = rng.choice([w for w in range(n) if w != c.mul[x][y]])
+        changed = with_cells(c, mul_cells=[((x, y), v)])
+        assert verify(changed)["KR1"] == kr1_expected(changed)
+
+
+def null_magma(n, cells=()):
+    """0 absorbing, 1 the identity and x.y = 0 for the rest, then cells
+    rewritten: every x >= 2 is a greedy generator."""
+    mul = [[0] * n for _ in range(n)]
+    for x in range(1, n):
+        mul[1][x] = mul[x][1] = x
+    for (x, y), v in cells:
+        mul[x][y] = v
+    return tuple(map(tuple, mul))
+
+
+@pytest.mark.parametrize("cells", [(), (((6, 7), 6),)], ids=["associative", "6.7=6"])
+def test_kr1_scans_where_the_generators_exceed_the_bound(cells):
+    """With more greedy generators than a group of order n-1 can have, the
+    first ones need not span the carrier, so Light's test does not decide:
+    (6.7).7 = 6 and 6.(7.7) = 0 involve no generator before 6, the fifth."""
+    n = 8
+    mul = null_magma(n, cells)
+    assert len(list(core.greedy_generators(n, mul))) > (n - 1).bit_length()
+    hyperadd = tuple(tuple(1 << y for y in range(n)) for _ in range(n))
+    c = HyperfieldCandidate(n, hyperadd, mul)
+    assert not core._Table(n, hyperadd, mul).associative
+    assert verify(c)["KR1"] == kr1_expected(c)
+    assert verify(c)["KR1"].witness == (None if not cells else (6, 7, 7))
+
+
 @pytest.mark.parametrize("base", ["five", "massouros7", "pair6", "quotient9"])
 def test_scaling_identity_matches_kr3(base):
     """On every symmetric one-cell change of hyperadd that keeps CH3: the

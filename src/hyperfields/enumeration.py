@@ -14,20 +14,19 @@ chosen:
   (b) commutativity pins partners: v(z) = z . v(z^-1), so only one row per
       inverse pair {z, z^-1} is free, and rows of a self-inverse z are
       fixed by z;
-  (c) the free rows are assigned depth-first, and reversibility (CH5) at
-      x = 1 is tested between pairs of rows as soon as both are set.  On
-      the expanded table the opposite of x is x.z* for the opposite z* of
-      1, so for y, z != 0 with z in v(y) CH5 at x = 1 asks y in z*(+)z,
-      the bit test z*.y in v(z*.z), and 1 in z(+)y', the bit test z^-1 in
-      v(z^-1.y.z*); y = 0 and z = 0 always pass.  Under (b) the second
-      test is the first one made for the pair (y^-1, y^-1.z) and read
-      through v(b) = b.v(b^-1) at b = z*.y^-1.z, and that pair's rows are
-      set at the same depths as those of y and b^-1, so only the first
-      test is made.  A failure prunes every map below the current row.
-      So every leaf passes CH5: at x = 1 by these tests, at x = 0 as
-      0 (+) y = {y}, and at x != 0 by the scaling built into the expansion.
-      Leaves are tested for CH1 by core's symmetry theorem, whose premises
-      the expansion and (b) supply; all other axioms hold by construction;
+  (c) the free rows are assigned depth-first under reversibility (CH5) at
+      x = 1.  The opposite of x is x.z* for the opposite z* of 1, so for
+      y, z != 0 with z in v(y) CH5 at x = 1 asks y in z*(+)z, the bit test
+      z*.y in v(z*.z), and 1 in z(+)y', the bit test z^-1 in v(z^-1.y.z*),
+      which under (b) is the first test for the pair (y^-1, y^-1.z) read
+      through v(b) = b.v(b^-1) at b = z*.y^-1.z; y = 0 and z = 0 always
+      pass.  The tests are checked forward: those between rows of one depth
+      filter its choices once, and each other one, once its earlier row is
+      set, is a bit that the later row must or must not hold.  So the walk
+      visits only choices that pass, and every leaf passes CH5 (at x = 0 as
+      0 (+) y = {y}, at x != 0 by the scaling of the expansion).  Leaves are
+      tested for CH1 by core's symmetry theorem, whose premises the
+      expansion and (b) supply; all other axioms hold by construction;
   (d) each class is searched once.  Hyperfields over one group G are
       isomorphic exactly when an automorphism sigma of G carries one row
       onto the other, sigma.v.sigma^-1 = v', and sigma.v has the opposite
@@ -53,6 +52,7 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
@@ -91,24 +91,21 @@ def abelian_groups(m: int) -> list[tuple[tuple[int, ...], ...]]:
     return list(abelian_group_tables(m))
 
 
-def _carry(n, perm):
-    """table[m] = the image of the subset m under w -> perm[w], for all 2^n
-    masks, each built from the mask without its lowest bit."""
+def _carry(n, images):
+    """table[m] = the union of images[w] over the members w of m, for all
+    2^n masks, each built from the mask without its lowest bit."""
     table = [0] * (1 << n)
     for m in range(1, 1 << n):
         low = m & -m
-        table[m] = table[m ^ low] | (1 << perm[low.bit_length() - 1])
+        table[m] = table[m ^ low] | images[low.bit_length() - 1]
     return tuple(table)
 
 
 @lru_cache(maxsize=1)
 def _scalar_tables(n, mul):
-    # smul[x][mask] = image of the subset `mask` under multiplication by x,
-    # for all 2^n masks.  It serves the row choices and every row scaling
-    # of a group's shards.  _shards() builds the set-up of one group's pairs
-    # before the next group's, so each group's entry is built once.  Read
-    # only: every caller shares the result.
-    return (None, *(_carry(n, row) for row in mul[1:]))
+    # smul[x][mask] = x . mask for all 2^n masks, shared read-only by the set-ups
+    # and shards of one group, which _shards() builds before the next group's.
+    return (None, *(_carry(n, [1 << w for w in row]) for row in mul[1:]))
 
 
 def _slots(n, mul, inv, zstar):
@@ -128,33 +125,46 @@ def _slots(n, mul, inv, zstar):
 
 
 def _pair_checks(n, mul, inv, zstar, slots):
-    """CH5 at x = 1 as tests between two rows, listed under the slot depth
-    at which both rows are set: (y, z, w, t) fails when z is in v(y) and t
-    is not in v(w)."""
-    depth = [-1] * n  # row 0 is fixed
+    """CH5 at x = 1, planned forward.  A test fails where bit a of the
+    choice m_e of one row's depth is set and bit b of the other's, m_d, is
+    not.  Returns the choices that pass the tests within their depth, and
+    bounds[d] = [(key r of an earlier depth, 1 << a, on, off)]: m_d is bound
+    by on where a is in v(r), else by off, a bound being the bits m_d must
+    hold | those it must not hold << n."""
+    at = [None] * n  # at[r][c] = (d, b): c is in v(r) exactly when b is in m_d
     for d, (z, _) in enumerate(slots):
-        depth[z] = depth[inv[z]] = d
-    checks = [[] for _ in slots]
+        at[inv[z]] = [(d, mul[z][c]) for c in range(n)]  # v(z^-1) = z^-1 . v(z)
+        at[z] = [(d, c) for c in range(n)]
+    within = [[0] * n for _ in slots]  # within[d][a] = the bits m_d holds where it holds a
+    rules = [{} for _ in slots]  # rules[d][r, 1 << a] = [on, off] of bounds[d]
     for y in range(1, n):
-        for z in range(1, n):
-            w = mul[zstar][z]  # y in z*(+)z = z*.v(z*.z)
-            checks[max(depth[y], depth[w])].append((y, 1 << z, w, 1 << mul[zstar][y]))
-    return checks
+        for z in range(1, n):  # y in z*(+)z = z*.v(z*.z)
+            (e, a), (d, b) = at[y][z], at[mul[zstar][z]][mul[zstar][y]]
+            if e == d:
+                within[d][a] |= 1 << b
+            elif e < d:
+                rules[d].setdefault((slots[e][0], 1 << a), [0, 0])[0] |= 1 << b
+            else:
+                rules[e].setdefault((slots[d][0], 1 << b), [0, 0])[1] |= 1 << a << n
+    choices = [[m for m in ms if not implied[m] & ~m]
+               for (_, ms), implied in zip(slots, (_carry(n, w) for w in within))]
+    bounds = [[(r, a, *on_off) for (r, a), on_off in sorted(rule.items())] for rule in rules]
+    return choices, bounds
 
 
 class _Pair(NamedTuple):
-    """The set-up that the shards of one (group, z*) share.  below[d] counts
-    the maps under one choice at depth d.  rivals holds, for each
-    automorphism sigma != 1 of the group that fixes z*, (src, carry) with
-    (sigma.v)(z) = carry[v(src[k])] at the z of slot k; no rivals, no orbit
-    prune."""
+    """The set-up that the shards of one (group, z*) share: the plan of
+    _pair_checks, below[d] = the maps under one choice at depth d, and for
+    each automorphism sigma != 1 fixing z*, a rival (src, carry) with
+    (sigma.v)(z) = carry[v(src[k])] at the z of slot k (none: no orbit prune)."""
 
     n: int
     mul: tuple
     inv: list
     smul: tuple
     slots: list
-    checks: list
+    choices: list
+    bounds: list
     below: list
     rivals: tuple
 
@@ -164,12 +174,21 @@ def _pair(n, mul, zstar, stabiliser):
     than 1 that fix z*; an empty one turns the orbit prune off."""
     inv = inverses(n, mul)
     slots = _slots(n, mul, inv, zstar)
-    below = [math.prod(len(choices) for _, choices in slots[d + 1:])
-             for d in range(len(slots))]
-    rivals = tuple((tuple(sigma.index(z) for z, _ in slots), _carry(n, sigma))
+    below = [math.prod(len(c) for _, c in slots[d + 1:]) for d in range(len(slots))]
+    rivals = tuple((tuple(sigma.index(z) for z, _ in slots), _carry(n, [1 << w for w in sigma]))
                    for sigma in stabiliser)
     return _Pair(n, mul, inv, _scalar_tables(n, mul), slots,
-                 _pair_checks(n, mul, inv, zstar, slots), below, rivals)
+                 *_pair_checks(n, mul, inv, zstar, slots), below, rivals)
+
+
+def _admitted(pair, d, masks):
+    """The choices at depth d, ascending, within the bounds that the rows
+    set above d in masks put on them."""
+    bound = 0
+    for r, a, on, off in pair.bounds[d]:
+        bound |= on if masks[r] & a else off
+    need, ban = bound & ((1 << pair.n) - 1), bound >> pair.n
+    return [m for m in pair.choices[d] if m & need == need and not m & ban]
 
 
 def _least(masks, keys, rivals):
@@ -183,29 +202,27 @@ def _run_shard(args):
     """Search one shard: a (group, z*) set-up and the mask of the first row.
 
     Rows are assigned depth-first in slot order, each slot's choices in
-    turn, so leaves come in the order of the product of the slots.  Returns
-    (scanned, survivors, timed_out): scanned counts the maps decided, a
-    pruned subtree counting every map below it; survivors are (hyperadd,
-    mul) table pairs that are least in their orbit and pass the CH1
-    symmetry test.  The walk is one loop over an iterator per depth, so a
-    shard leaves no reference cycle behind.
+    turn, so leaves come in the order of the product of the slots; the walk
+    visits only the choices _admitted at each depth.  Returns (scanned,
+    survivors, timed_out): scanned counts the maps decided, a choice cut
+    counting every map below it; survivors are (hyperadd, mul) table pairs
+    that are least in their orbit and pass the CH1 symmetry test.  One loop
+    over an iterator per depth leaves no reference cycle behind.
     """
     pair, first, deadline = args
     if deadline is not None and time.monotonic() > deadline:
         return 0, [], True
-    n, mul, inv, smul, slots, checks, below, rivals = pair
+    n, mul, inv, smul, slots, choices, _, below, rivals = pair
     keys = [z for z, _ in slots]
-    steps = [(z, inv[z], smul[inv[z]], checks[d], below[d]) for d, z in enumerate(keys)]
-    choices = [(first,)] + [c for _, c in slots[1:]]
+    steps = [(z, inv[z], smul[inv[z]]) for z in keys]
     last = len(slots) - 1
-    pending = [iter(choices[0])] + [None] * last  # the choices left at each depth
+    top = [first] if first in choices[0] else []
+    pending = [iter(top)] + [None] * last  # the admitted choices left at each depth
 
-    masks = [0] * n
-    masks[0] = 1 << 1
-    survivors = []
-    scanned = nodes = d = 0
+    masks = [1 << 1] + [0] * (n - 1)  # v(0) = {1}
+    scanned, nodes, d, survivors = (1 - len(top)) * below[0], 0, 0, []
     while d >= 0:
-        z, zi, scale, tests, size = steps[d]
+        z, zi, scale = steps[d]
         for m in pending[d]:
             nodes += 1
             if deadline is not None and nodes % _BUDGET_STRIDE == 0:
@@ -213,18 +230,17 @@ def _run_shard(args):
                     return scanned, survivors, True
             masks[z] = m
             masks[zi] = scale[m]  # v(z^-1) = z^-1 . v(z); unchanged when z = z^-1
-            if any(masks[y] & zb and not masks[w] & tb for y, zb, w, tb in tests):
-                scanned += size
-            elif d < last:
+            if d < last:
                 d += 1
-                pending[d] = iter(choices[d])
+                admitted = _admitted(pair, d, masks)
+                scanned += (len(slots[d][1]) - len(admitted)) * below[d]
+                pending[d] = iter(admitted)
                 break
-            else:
-                scanned += 1
-                if _least(masks, keys, rivals):
-                    hyperadd = _expand(n, mul, inv, smul, masks)
-                    if ch1_violation(hyperadd) is None:
-                        survivors.append((tuple(map(tuple, hyperadd)), mul))
+            scanned += 1
+            if _least(masks, keys, rivals):
+                hyperadd = _expand(n, mul, inv, smul, masks)
+                if ch1_violation(hyperadd) is None:
+                    survivors.append((tuple(map(tuple, hyperadd)), mul))
         else:
             d -= 1
     return scanned, survivors, False
@@ -241,8 +257,7 @@ def _shards(n, groups, deadline):
         for zstar in range(1, n):
             if mul[zstar][zstar] != 1 or min(a[zstar] for a in autos) < zstar:
                 continue
-            pair = _pair(n, mul, zstar,
-                         [a for a in autos if a[zstar] == zstar and a != identity])
+            pair = _pair(n, mul, zstar, [a for a in autos if a[zstar] == zstar and a != identity])
             shards += [(pair, m, deadline) for m in pair.slots[0][1]
                        if all(carry[m] >= m for _, carry in pair.rivals)]
     return shards
@@ -269,45 +284,40 @@ def enumerate_hyperfields(n: int, options: Optional[SearchOptions] = None) -> li
     if options.jobs < 1:
         raise DomainError(f"jobs must be at least 1, got {options.jobs}")
     if options.progress_interval < 0:
-        raise DomainError(
-            f"progress interval must be at least 0, got {options.progress_interval}")
+        raise DomainError(f"progress interval must be at least 0, got {options.progress_interval}")
     budget = options.budget_seconds
     if budget is not None and not 0 < budget < math.inf:
         raise DomainError(f"budget must be a positive finite number of seconds, got {budget}")
-    deadline = time.monotonic() + budget if budget is not None else None
+    start = time.monotonic()
+    deadline = start + budget if budget is not None else None
     shards = _shards(n, abelian_groups(n - 1), deadline)
 
-    scanned = 0
-    survivors = []
-    timed_out = False
-    last_report = 0
+    scanned, survivors, timed_out, last_report = 0, [], False, 0
+    total = sum(pair.below[0] for pair, _, _ in shards)
     # The pool forks every worker at the first submit, so it never gets
-    # more workers than there are shards.
+    # more workers than there are shards.  Results arrive in shard order.
     workers = min(options.jobs, len(shards))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_shard, shards))
-    else:
-        results = map(_run_shard, shards)
-    for done, (got, found, late) in enumerate(results, 1):
-        scanned += got
-        survivors.extend(found)
-        timed_out = timed_out or late
-        if options.progress_interval and scanned - last_report >= options.progress_interval:
-            print(f"order={n} shards={done}/{len(shards)} scanned={scanned} "
-                  f"survivors={len(survivors)}", file=sys.stderr)
-            last_report = scanned
-        if timed_out:
-            break
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        results = (pool.map if pool else map)(_run_shard, shards)
+        for done, (got, found, late) in enumerate(results, 1):
+            scanned += got
+            survivors.extend(found)
+            timed_out = timed_out or late
+            if options.progress_interval and scanned - last_report >= options.progress_interval:
+                rate = scanned / max(time.monotonic() - start, 1e-9)
+                print(f"order={n} shards={done}/{len(shards)} scanned={scanned} survivors="
+                      f"{len(survivors)} rate={rate:.0f} eta={(total - scanned) / rate:.1f}",
+                      file=sys.stderr)
+                last_report = scanned
+            if timed_out:
+                break
 
     def check_budget():
         if timed_out or deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceededError(
-                f"order-{n} enumeration exceeded its budget",
-                scanned=scanned, survivors=len(survivors))
+            raise BudgetExceededError(f"order-{n} enumeration exceeded its budget",
+                                      scanned=scanned, survivors=len(survivors))
 
     check_budget()
-    wrapped = [verified(HyperfieldCandidate(n, hyperadd, mul))
-               for hyperadd, mul in survivors]
+    wrapped = [verified(HyperfieldCandidate(n, hyperadd, mul)) for hyperadd, mul in survivors]
     check_budget()
     return _dedup(wrapped)

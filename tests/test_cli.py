@@ -310,7 +310,8 @@ class TestEnumerate:
         total = len(enumeration._shards(3, enumeration.abelian_groups(2), None))
         lines = err.splitlines()
         assert lines and all(
-            re.fullmatch(rf"order=3 shards=\d+/{total} scanned=\d+ survivors=\d+", line)
+            re.fullmatch(rf"order=3 shards=\d+/{total} scanned=\d+ survivors=\d+"
+                         rf" rate=\d+ eta=\d+\.\d", line)
             for line in lines)
         assert lines[-1].startswith(f"order=3 shards={total}/{total} scanned=10 ")
 

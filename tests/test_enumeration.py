@@ -1,6 +1,10 @@
 import gc
+import importlib.util
 import math
+import random
+import sys
 from itertools import combinations, permutations, product as iproduct
+from pathlib import Path
 
 import pytest
 
@@ -314,6 +318,59 @@ class TestKernelFilters:
         assert len(leaves) == sum(s - r5 for _, (s, _, r5, _) in flat[n])
 
 
+def ch5_at_one_holds(mul, zstar, v, rows):
+    """CH5 at x = 1 over the rows set so far, straight from mul: z*.y is in
+    v(z*.z) whenever z is in v(y), for every y and z whose rows y and z*.z
+    are in rows."""
+    n = len(mul)
+    return all(v[mul[zstar][z]] >> mul[zstar][y] & 1 for y in rows for z in range(n)
+               if mul[zstar][z] in rows and v[y] >> z & 1)
+
+
+class TestForwardChecking:
+    """The plan is complete and sound: below any partial map that passes CH5
+    at x = 1, the walk admits at the next depth exactly the choices that
+    keep it passing.  Partial maps are drawn, seeded, by descending through
+    passing choices; the oracle builds rows by scaling and shares no code
+    with _pair_checks or the plan."""
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_admitted_choices_are_those_passing_ch5(self, n):
+        rng = random.Random(n)
+        checked = {}
+        for mul in abelian_groups(n - 1):
+            inv = [0] + [next(y for y in range(1, n) if mul[x][y] == 1) for x in range(1, n)]
+            for zstar in (z for z in range(1, n) if mul[z][z] == 1):
+                pair = enumeration._pair(n, mul, zstar, ())
+                slots = slot_oracle(n, mul, zstar)
+
+                def passing(v, rows, z, choices):
+                    found = []
+                    for m in choices:
+                        v[z], v[inv[z]] = m, _scaled(mul, inv[z], m)
+                        if ch5_at_one_holds(mul, zstar, v, rows | {z, inv[z]}):
+                            found.append(m)
+                    v[z] = v[inv[z]] = 0
+                    return found
+
+                for d, (key, choices) in enumerate(slots):
+                    checked[mul, zstar, d] = 0
+                    for _ in range(20):
+                        v, rows = [1 << 1] + [0] * (n - 1), {0}
+                        for z, above in slots[:d]:
+                            options = passing(v, rows, z, above)
+                            if not options:
+                                break
+                            m = rng.choice(options)
+                            v[z], v[inv[z]] = m, _scaled(mul, inv[z], m)
+                            rows |= {z, inv[z]}
+                        else:
+                            expected = passing(v, rows, key, choices)
+                            assert enumeration._admitted(pair, d, v) == expected, (mul, zstar, d, v)
+                            checked[mul, zstar, d] += 1
+        assert min(checked.values()) >= 10, checked
+
+
 def brute_automorphisms(mul):
     """Every permutation of the carrier that fixes 0 and 1 and preserves
     mul, found by trying all of them."""
@@ -495,6 +552,22 @@ class TestWorkerPool:
             enumerate_hyperfields(3, SearchOptions(jobs=jobs))
         assert pool_sizes == []
 
+    def test_progress_reports_each_shard_as_it_finishes(self, pool_sizes, monkeypatch, capsys):
+        """With a pool, each shard's progress line is out before the next
+        shard's result is taken, so the rate and ETA are live."""
+        lines, seen = [], []
+        run = enumeration._run_shard
+
+        def recording(shard):
+            lines.extend(capsys.readouterr().err.splitlines())
+            seen.append(len(lines))
+            return run(shard)
+
+        monkeypatch.setattr(enumeration, "_run_shard", recording)
+        enumerate_hyperfields(4, SearchOptions(jobs=2, progress_interval=1))
+        lines.extend(capsys.readouterr().err.splitlines())
+        assert pool_sizes == [2] and seen == list(range(len(lines))) and len(lines) > 1
+
     def test_negative_progress_interval_is_a_domain_error(self, pool_sizes, monkeypatch):
         monkeypatch.setattr(enumeration, "_shards", _must_not_run)
         with pytest.raises(DomainError, match="progress interval"):
@@ -548,3 +621,18 @@ class TestEnumerationIsExhaustive:
         f = gf(5)
         h = quotient(f, subgroup_closure(f, (4,)))
         assert any(are_isomorphic(h, rep) is not None for rep in enum_classes[3])
+
+
+def test_walk_above_cap_script(monkeypatch, capsys):
+    """scripts/walk_above_cap.py prints the walk's counts at orders 7 and 8
+    (those of TestOrbitPrune) and leaves the cap as it found it."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "walk_above_cap.py"
+    spec = importlib.util.spec_from_file_location("walk_above_cap", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "argv", ["walk_above_cap.py", "--orders", "7", "8"])
+    script.main()
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [(r[0], r[1], r[2], r[4]) for r in rows] == [
+        ("7", "2,349,648", "277", "277"), ("8", "57,354,724", "178", "178")]
+    assert enumeration.MAX_ENUM_ORDER == 6

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Time the enumeration walk at orders above the enumeration cap.
 
-For each order (default 7, 8 and 9) it raises
-enumeration.MAX_ENUM_ORDER to that order in this process, times the walk
+For each order (default 7, 8 and 9; at most 10) it raises
+enumeration.MAX_ENUM_ORDER to that order, and enumeration.MAX_GROUP_ORDER
+to n - 1 where the groups need it, in this process, times the walk
 (every shard of enumeration._shards run by enumeration._run_shard in one
 process), then runs enumerate_hyperfields in full.  It prints one row per
 order: the maps the walk decides, its survivors, the walk seconds, the
@@ -31,20 +32,20 @@ def walk(n):
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--orders", type=int, nargs="+", default=[7, 8, 9],
-                    choices=range(2, enumeration.MAX_GROUP_ORDER + 2))
+    ap.add_argument("--orders", type=int, nargs="+", default=[7, 8, 9], choices=range(2, 11))
     args = ap.parse_args()
     print("order             maps  survivors   walk_s  classes  total_s")
-    cap = enumeration.MAX_ENUM_ORDER
+    cap, group_cap = enumeration.MAX_ENUM_ORDER, enumeration.MAX_GROUP_ORDER
     for n in args.orders:
         enumeration.MAX_ENUM_ORDER = max(cap, n)
+        enumeration.MAX_GROUP_ORDER = max(group_cap, n - 1)
         try:
             maps, survivors, walk_s = walk(n)
             t0 = time.perf_counter()
             classes = len(enumerate_hyperfields(n))
             total_s = time.perf_counter() - t0
         finally:
-            enumeration.MAX_ENUM_ORDER = cap
+            enumeration.MAX_ENUM_ORDER, enumeration.MAX_GROUP_ORDER = cap, group_cap
         print(f"{n:>5}  {maps:>15,}  {survivors:>9,}  {walk_s:>7.2f}  {classes:>7,}  {total_s:>7.2f}")
 
 

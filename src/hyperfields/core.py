@@ -186,6 +186,11 @@ def inverses(n, mul) -> list[int]:
     return [0] + [row.index(1, 1) if 1 in row[1:] else 0 for row in mul[1:n]]
 
 
+def slot_keys(inv) -> list[int]:
+    """The z in 1..n-1 with z <= z^-1: the rows enumeration and fingerprint read."""
+    return [z for z in range(1, len(inv)) if z <= inv[z]]
+
+
 def element_orders(n, mul) -> list[int]:
     """orders[x] is the multiplicative order of x; orders[0] is 0.  One walk
     of the powers of an x whose order is not known yet gives the order of

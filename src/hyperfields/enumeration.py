@@ -38,12 +38,11 @@ chosen:
       such sigma, which is tested before the leaf is expanded, as every
       map of an orbit passes CH1 or none does.
 
-So each survivor is the first map of its class in walk order, the one a
-deduplication of the unpruned walk keeps.  Survivors are verified in full
-and sorted by iso.fingerprint, a complete canonical form that also names
-the class files, so the result is byte-identical across runs and worker
-counts.  The budget is checked during the scan and again before
-verification and before the classes are sorted.
+So each survivor is its own class and the least map of its orbit, which
+is the key of iso.fingerprint: survivors need no isomorphism search, only
+verification and the fingerprint's order of the groups, so the result is
+byte-identical across runs and worker counts.  The budget is checked
+during the scan and again before and after verification.
 """
 
 from __future__ import annotations
@@ -65,11 +64,12 @@ from .core import (  # bench/spans.py wraps _expand, ch5_violation and ch1_viola
     _expand,
     group_isomorphisms,
     inverses,
+    slot_keys,
     verified,
 )
 from .errors import BudgetExceededError, CapacityError, DomainError
-from .galois import abelian_group_tables
-from .iso import are_isomorphic, fingerprint  # bench/spans.py wraps are_isomorphic here
+from .galois import abelian_group_orders, abelian_group_tables
+from .iso import are_isomorphic, fingerprint  # unused here: bound for bench/spans.py alone
 
 MAX_ENUM_ORDER = 6
 MAX_GROUP_ORDER = 8
@@ -114,13 +114,9 @@ def _slots(n, mul, inv, zstar):
     member) exactly where z = z*; that of z < z^-1 any nonzero even mask."""
     smul = _scalar_tables(n, mul)
     slots = []
-    for z in range(1, n):
-        if inv[z] == z:
-            scale = smul[z]
-            slots.append((z, tuple(m for m in range(1 if z == zstar else 2, 1 << n, 2)
-                                   if scale[m] == m)))
-        elif z < inv[z]:
-            slots.append((z, tuple(range(2, 1 << n, 2))))
+    for z in slot_keys(inv):
+        masks = range(1 if z == zstar else 2, 1 << n, 2)
+        slots.append((z, tuple(m for m in masks if inv[z] != z or smul[z][m] == m)))
     return slots
 
 
@@ -263,20 +259,14 @@ def _shards(n, groups, deadline):
     return shards
 
 
-def _dedup(wrapped: list[Hyperfield]) -> list[Hyperfield]:
-    """The first of each class, sorted by fingerprint."""
-    classes: dict[tuple, Hyperfield] = {}
-    for h in wrapped:
-        classes.setdefault(fingerprint(h), h)
-    return [classes[key] for key in sorted(classes)]
-
-
 def enumerate_hyperfields(n: int, options: Optional[SearchOptions] = None) -> list[Hyperfield]:
-    """All Krasner hyperfields of order n, one per isomorphism class.
+    """All Krasner hyperfields of order n, one per isomorphism class, in
+    iso.fingerprint order.
 
-    Deterministic: shard order and merge order are fixed, the walk keeps the
-    first map of each class (prune (d)), and classes sort by fingerprint, so
-    the output does not depend on the worker count.
+    Deterministic: shard order and merge order are fixed, and the walk
+    keeps the least map of each class (prune (d)), its fingerprint key, in
+    key order; the groups then sort by their element orders, so the output
+    does not depend on the worker count and takes no isomorphism search.
     """
     if not 2 <= n <= MAX_ENUM_ORDER:
         raise CapacityError(f"enumeration supports orders 2..{MAX_ENUM_ORDER}")
@@ -318,6 +308,9 @@ def enumerate_hyperfields(n: int, options: Optional[SearchOptions] = None) -> li
                                       scanned=scanned, survivors=len(survivors))
 
     check_budget()
-    wrapped = [verified(HyperfieldCandidate(n, hyperadd, mul)) for hyperadd, mul in survivors]
+    # Each group's survivors come in fingerprint order; sort the groups likewise.
+    orders = dict(zip(abelian_group_tables(n - 1), abelian_group_orders(n - 1)))
+    survivors.sort(key=lambda found: orders[found[1]])
+    classes = [verified(HyperfieldCandidate(n, hyperadd, mul)) for hyperadd, mul in survivors]
     check_budget()
-    return _dedup(wrapped)
+    return classes

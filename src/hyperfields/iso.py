@@ -4,14 +4,15 @@ A hyperfield isomorphism fixes 0 and 1 and restricts to a group isomorphism
 of the nonzero multiplicative parts.  Distributivity forces the whole
 hyperaddition from the row v(z) = 1(+)z, so the hyperfield isomorphisms are
 the group isomorphisms tau with tau(v(z)) = v'(tau(z)), which keep each
-cell size |v(z)|.  Group isomorphisms come from core.group_isomorphisms in
-lexicographic order: the greedy generators are the smallest elements
-outside the span of the earlier ones, and their images are tried in
-ascending order; are_isomorphic passes the cell sizes of row 1 as colours,
-so only maps that keep them are tried.  Masks are decoded by core._members
-and carried by _carry, each distinct mask once: fingerprint and
-are_isomorphic decode row 1 once per call, and is_isomorphism compares
-core.relabel's image with the second table.
+cell size |v(z)|.  The canonical form reads v in the enumeration walk's
+order, so the classes the walk keeps need no search.  Group isomorphisms
+come from core.group_isomorphisms in lexicographic order: the greedy
+generators are the smallest elements outside the span of the earlier ones,
+and their images are tried in ascending order; are_isomorphic passes the
+cell sizes of row 1 as colours, so only maps that keep them are tried.
+Masks are decoded by core._members and carried by _carry, each distinct
+mask once: fingerprint and are_isomorphic decode row 1 once per call, and
+is_isomorphism compares core.relabel's image with the second table.
 """
 
 from __future__ import annotations
@@ -24,8 +25,10 @@ from .core import (
     _members,
     element_orders,
     group_isomorphisms,
+    inverses,
     relabel,
     require_verified,
+    slot_keys,
 )
 from .galois import abelian_group_orders, abelian_group_tables
 
@@ -37,27 +40,24 @@ def _carry(members, tau):
     return {m: sum(map(bit, bits)) for m, bits in members.items()}.__getitem__
 
 
-def _carried(members, v, tau):
-    """tau.v.tau^-1: the row of tau(z) is the image of v(z) under tau."""
-    carry = _carry(members, tau)
-    return list(map(carry, map(v.__getitem__, sorted(range(len(v)), key=tau.__getitem__))))
-
-
 def fingerprint(h: Hyperfield) -> tuple:
     """A complete invariant: verified hyperfields get equal values exactly
     when they are isomorphic.  The value is (n, sorted orders of the nonzero
-    elements, row): row is the smallest tau.v.tau^-1, as masks, over the group
-    isomorphisms tau onto the matching galois.abelian_group_tables(n - 1)
-    table.  Row 1 is decoded once; each automorphism of the group carries
-    its n masks, |Aut(G)| . n.
+    elements, key): key is the least (z*, rows at core.slot_keys) of
+    tau.v.tau^-1, over the group isomorphisms tau onto the matching
+    galois.abelian_group_tables(n - 1) table, where 0 is in v(z*).  That is
+    the enumeration walk's order, so each class it returns is its own key.
+    Row 1 is decoded once; each tau carries its distinct masks, |Aut(G)| . n.
     """
     h = require_verified(h)
     n, mul, v = h.n, h.mul, h.hyperadd[1]
     orders = tuple(sorted(element_orders(n, mul)[1:]))
     table = abelian_group_tables(n - 1)[abelian_group_orders(n - 1).index(orders)]
+    keys, zstar = slot_keys(inverses(n, table)), next(z for z in range(1, n) if v[z] & 1)
     members = _members((v,))
-    return (n, orders, tuple(min(_carried(members, v, tau)
-                                 for tau in group_isomorphisms(n, mul, table))))
+    return (n, orders, min(  # the row of z in tau.v.tau^-1 is tau(v(tau^-1 z))
+        (tau[zstar], *map(_carry(members, tau), (v[tau.index(z)] for z in keys)))
+        for tau in group_isomorphisms(n, mul, table)))
 
 
 @dataclass(frozen=True)

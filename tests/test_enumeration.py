@@ -28,7 +28,7 @@ from hyperfields import (
     verified,
     verify,
 )
-from hyperfields import core, enumeration
+from hyperfields import core, enumeration, iso
 from conftest import FIVE_MUL, SteppingClock, brute_isomorphic, naive_classes, naive_scaffolds
 
 
@@ -412,8 +412,8 @@ def classes():
 class TestOrbitPrune:
     """The walk keeps the least map of each Aut(G)-orbit.  The oracles are
     the unpruned walk (the same kernel on set-ups with no automorphisms)
-    plus _dedup, and Burnside's count over automorphisms found by brute
-    force."""
+    grouped by the search-based fingerprint, and Burnside's count over
+    automorphisms found by brute force."""
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_burnside_count(self, unpruned, classes, n):
@@ -428,10 +428,9 @@ class TestOrbitPrune:
     @pytest.mark.parametrize("n, count", [(2, 2), (3, 5), (4, 7), (5, 27), (6, 16),
                                           (7, 277), (8, 178)])
     def test_survivors_are_the_first_of_each_unpruned_class(self, unpruned, classes, n, count):
-        """One survivor per class: the pruned survivors are the unpruned
-        survivors that _dedup keeps, in the same order, and
-        enumerate_hyperfields returns what _dedup returns on the unpruned
-        walk."""
+        """One survivor per class: the pruned survivors are the first
+        unpruned survivor of each fingerprint, in the same order, and
+        enumerate_hyperfields returns those firsts sorted by fingerprint."""
         wrapped = [verified(HyperfieldCandidate(n, hyperadd, mul))
                    for hyperadd, mul in unpruned[n]]
         first = {}
@@ -441,7 +440,32 @@ class TestOrbitPrune:
         assert pruned == list(first.values())
         assert len(pruned) == len(classes[n]) == count
         assert [h.candidate for h in classes[n]] == [
-            h.candidate for h in enumeration._dedup(wrapped)]
+            HyperfieldCandidate(n, *first[k]) for k in sorted(first)]
+
+    def test_classes_are_their_own_fingerprint_keys(self, classes, monkeypatch):
+        """At orders 2-8 each class's own key, z* and then v(z) for each
+        z <= z^-1 ascending, is the key of its search-based fingerprint, and
+        the classes come in strictly ascending fingerprint order.  So once
+        the shards are built, enumeration needs no isomorphism search."""
+        for n, found in classes.items():
+            prints = [fingerprint(h) for h in found]
+            for h, (_, _, key) in zip(found, prints):
+                v, mul = h.hyperadd[1], h.mul
+                inv = [0] + [next(y for y in range(1, n) if mul[x][y] == 1) for x in range(1, n)]
+                zstar = next(z for z in range(1, n) if v[z] & 1)
+                assert key == (zstar, *(v[z] for z in range(1, n) if z <= inv[z]))
+            assert all(a < b for a, b in zip(prints, prints[1:])), n
+
+        shards = enumeration._shards
+
+        def shards_then_no_search(*args):
+            built = shards(*args)
+            monkeypatch.setattr(enumeration, "fingerprint", _must_not_run)
+            monkeypatch.setattr(iso, "group_isomorphisms", _must_not_run)
+            return built
+
+        monkeypatch.setattr(enumeration, "_shards", shards_then_no_search)
+        assert [len(enumerate_hyperfields(n)) for n in (5, 6)] == [27, 16]
 
     def test_shards_leave_no_cyclic_garbage(self):
         """Every order-6 shard, pruned and unpruned, frees what it builds by
@@ -625,14 +649,17 @@ class TestEnumerationIsExhaustive:
 
 def test_walk_above_cap_script(monkeypatch, capsys):
     """scripts/walk_above_cap.py prints the walk's counts at orders 7 and 8
-    (those of TestOrbitPrune) and leaves the cap as it found it."""
+    (those of TestOrbitPrune) and leaves both caps as it found them.  The
+    group cap starts at 6 here, so order 8 has to raise it."""
     path = Path(__file__).resolve().parent.parent / "scripts" / "walk_above_cap.py"
     spec = importlib.util.spec_from_file_location("walk_above_cap", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     monkeypatch.setattr(sys, "argv", ["walk_above_cap.py", "--orders", "7", "8"])
+    monkeypatch.setattr(enumeration, "MAX_GROUP_ORDER", 6)
     script.main()
     rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
     assert [(r[0], r[1], r[2], r[4]) for r in rows] == [
         ("7", "2,349,648", "277", "277"), ("8", "57,354,724", "178", "178")]
     assert enumeration.MAX_ENUM_ORDER == 6
+    assert enumeration.MAX_GROUP_ORDER == 6

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, islice
+from itertools import chain
 from math import gcd
 from operator import or_
 from typing import Iterable, Iterator, Optional
@@ -319,9 +319,9 @@ def _extensions(choices, along_edges, images, phi):
 #     x.(s.y) for all x, y are closed under products, since (x.ab).y =
 #     ((x.a).b).y = (x.a).(b.y) = x.(a.(b.y)) = x.(ab.y).  Where 1 is a
 #     two-sided identity and 0 two-sided absorbing, both lie in that set,
-#     so checking greedy generators whose span with 0 is the carrier proves
-#     the table associative, zero divisors or not.  Otherwise each (x, y)
-#     compares the rows (x.y).z and x.(y.z) over z.
+#     and so does the span of the greedy generators, which with 0 is the
+#     carrier: testing each in turn decides KR1, zero divisors or not.
+#     Otherwise each (x, y) compares the rows (x.y).z and x.(y.z) over z.
 #   KR3: the left law at x is the distributivity of the map rows[x],
 #     w -> x.w, and the right law that of cols[x] (see below); the witness
 #     at x is the least (y, z, law), left first.  x is taken in ascending
@@ -352,8 +352,12 @@ def _extensions(choices, along_edges, images, phi):
 #     KR3: for a, b, c != 0 ab (+) ac = ab . v(b^-1 c) = a . (b . v(b^-1 c))
 #     = a . (b (+) c); a, b or c = 0 holds by the expansion's row and column
 #     0 and the absorbing 0, and the right law by commutativity.  E passes
-#     CH3, KR1, KR2, HF1 and HF2 by construction; where it is symmetric and
-#     its opposites are unique, the symmetry theorem decides CH1, and CH1
+#     CH3, KR1, KR2, HF1 and HF2 by construction.  For x, y != 0 and
+#     u = x^-1 y, E[x][y] = x . E[1][u] and E[y][x] = x . E[u][1], scaling
+#     by x is one-to-one on masks and keeps 0 in or out, and E[0][y] =
+#     E[y][0] = {y}: so E is symmetric exactly when row 1 is column 1, and
+#     its opposites are unique exactly when one nonzero u has 0 in E[1][u].
+#     Where both hold, the symmetry theorem decides CH1, and CH1
 #     gives CH5: from z in x (+) y, 0 in z' (+) z lies in (z' (+) x) (+) y,
 #     so the one opposite y' of y lies in z' (+) x, and scaling by 1' gives
 #     y in z (+) x', as w' = 1'.w and 1'.1' = 1 (1 is the opposite of 1');
@@ -521,20 +525,13 @@ class _Table:
 
     @_fact
     def associative(t):
-        """Light's test on the greedy generators, given the identity and
-        the absorbing zero, where there are no more than a group of order
-        n-1 can have: then they ran out, so {0} and their span cover the
-        carrier."""
-        n, rows = t.n, t.rows
-        if not all(t.neutral):
-            return False
-        limit = (n - 1).bit_length()
-        gens = list(islice(greedy_generators(n, rows), limit + 1))
-        if len(gens) > limit:
-            return False
+        """Light's test on each greedy generator in turn, given the identity
+        and the absorbing zero: the generators and 0 span the carrier, so
+        the test decides KR1.  It stops at the first generator that fails."""
+        rows = t.rows
         # (x.s).y against x.(s.y) over y
-        return all(rows[mx[s]] == tuple(map(mx.__getitem__, rows[s]))
-                   for s in gens for mx in rows[2:])
+        return all(t.neutral) and all(rows[mx[s]] == tuple(map(mx.__getitem__, rows[s]))
+                                      for s in greedy_generators(t.n, rows) for mx in rows[2:])
 
     @_fact
     def expansion(t):
@@ -553,17 +550,13 @@ class _Table:
         """The mask of the rows where hyperadd differs from E where E is a
         hyperfield, else of every row.  The CH1, CH5 and KR3 scans visit
         only the (x, y) that read a suspect row, so with none they pass.  E
-        is a hyperfield where it is symmetric, its opposites are unique and
-        the symmetry theorem proves CH1 (see the comment on the checks);
-        where hyperadd is E, those are the table's own facts."""
+        is a hyperfield where its row 1 and column 1 show it symmetric with
+        unique opposites and the symmetry theorem proves CH1 (see the
+        comment on the checks)."""
         e = t.expansion
-        if e is not None:
-            rows = [x for x, row in enumerate(t.hyperadd) if list(row) != e[x]]
-            asymmetry, partners = ((_asymmetry(e, tuple(zip(*e))), map(_zero_partners, e))
-                                   if rows else (t.asymmetry, t.partners))
-            if (asymmetry is None and all(len(p) == 1 for p in partners)
-                    and _ch1_symmetry(e) is None):
-                return mask_of(rows)
+        if (e is not None and e[1] == [row[1] for row in e]
+                and sum(m & 1 for m in e[1]) == 1 and _ch1_symmetry(e) is None):
+            return mask_of(x for x, row in enumerate(t.hyperadd) if list(row) != e[x])
         return (1 << t.n) - 1
 
     @_fact

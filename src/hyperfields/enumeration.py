@@ -265,7 +265,7 @@ def enumerate_hyperfields(n: int, options: Optional[SearchOptions] = None) -> li
 
     Deterministic: shard order and merge order are fixed, and the walk
     keeps the least map of each class (prune (d)), its fingerprint key, in
-    key order; the groups then sort by their element orders, so the output
+    key order over the groups sorted by their element orders, so the output
     does not depend on the worker count and takes no isomorphism search.
     """
     if not 2 <= n <= MAX_ENUM_ORDER:
@@ -280,7 +280,9 @@ def enumerate_hyperfields(n: int, options: Optional[SearchOptions] = None) -> li
         raise DomainError(f"budget must be a positive finite number of seconds, got {budget}")
     start = time.monotonic()
     deadline = start + budget if budget is not None else None
-    shards = _shards(n, abelian_groups(n - 1), deadline)
+    # The groups in fingerprint order; within one, the shards come in key order.
+    groups = [mul for _, mul in sorted(zip(abelian_group_orders(n - 1), abelian_groups(n - 1)))]
+    shards = _shards(n, groups, deadline)
 
     scanned, survivors, timed_out, last_report = 0, [], False, 0
     total = sum(pair.below[0] for pair, _, _ in shards)
@@ -308,9 +310,6 @@ def enumerate_hyperfields(n: int, options: Optional[SearchOptions] = None) -> li
                                       scanned=scanned, survivors=len(survivors))
 
     check_budget()
-    # Each group's survivors come in fingerprint order; sort the groups likewise.
-    orders = dict(zip(abelian_group_tables(n - 1), abelian_group_orders(n - 1)))
-    survivors.sort(key=lambda found: orders[found[1]])
     classes = [verified(HyperfieldCandidate(n, hyperadd, mul)) for hyperadd, mul in survivors]
     check_budget()
     return classes

@@ -663,3 +663,17 @@ def test_walk_above_cap_script(monkeypatch, capsys):
         ("7", "2,349,648", "277", "277"), ("8", "57,354,724", "178", "178")]
     assert enumeration.MAX_ENUM_ORDER == 6
     assert enumeration.MAX_GROUP_ORDER == 6
+
+
+def test_reproduce_counts_script(monkeypatch, capsys):
+    """scripts/reproduce_counts.py prints the class count of each order
+    from 2 to 6: 2, 5, 7, 27 and 16."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_counts.py"
+    spec = importlib.util.spec_from_file_location("reproduce_counts", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "argv", ["reproduce_counts.py"])
+    script.main()
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [(r[0], r[1]) for r in rows] == [
+        ("2", "2"), ("3", "5"), ("4", "7"), ("5", "27"), ("6", "16")]

@@ -23,6 +23,7 @@ another axiom's failure.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from functools import lru_cache
 from itertools import permutations, product as iproduct
 
@@ -506,6 +507,39 @@ def test_every_expanded_one_row_table(n, mul):
     assert unguarded == {3: 1, 4: 28, 5: 0}[n]
 
 
+def expansion_is_hyperfield_oracle(n, hyperadd, mul):
+    """The table is symmetric, each element has one opposite, and CH1
+    holds: its transpose and opposites are found by scanning every cell."""
+    transpose = [[hyperadd[y][x] for y in range(n)] for x in range(n)]
+    opposites = [[y for y in range(n) if 0 in members(n, hyperadd[x][y])] for x in range(n)]
+    return (all(list(hyperadd[x]) == transpose[x] for x in range(n))
+            and all(len(found) == 1 for found in opposites)
+            and ch1_oracle(n, hyperadd, mul) is None)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_suspects_decide_the_expansion_of_every_row_one(n):
+    """Every row 1 with v(0) = {1} and each v(z) any nonempty mask, so that
+    no z, one z or several hold 0 and row 1 of the expansion E may differ
+    from its column 1: most of these are rows one_row_maps() skips.  E is
+    its own expansion, so it has no suspect rows exactly when it is a
+    hyperfield: symmetric, with unique opposites and CH1, by the oracle.
+    The hyperfields are the maps of the 5 and 7 classes: C2 has one
+    automorphism, and C3 two, which fix 2 of the 7."""
+    (mul,) = abelian_groups(n - 1)
+    inv, smul = core.inverses(n, mul), _scalar_tables(n, mul)
+    kinds = Counter()  # (verdict, nonzero z with 0 in v(z), at most 2, symmetric)
+    for rest in iproduct(range(1, 1 << n), repeat=n - 1):
+        hyperadd = core._expand(n, mul, inv, smul, (2, *rest))
+        holds = expansion_is_hyperfield_oracle(n, hyperadd, mul)
+        assert (core._Table(n, hyperadd, mul).suspects == 0) == holds, rest
+        symmetric = all(hyperadd[x][y] == hyperadd[y][x] for x in range(n) for y in range(n))
+        kinds[holds, min(sum(m & 1 for m in rest), 2), symmetric] += 1
+    assert set(kinds) == {(False, zeros, symmetric) for zeros in range(3)
+                          for symmetric in (False, True)} | {(True, 1, True)}
+    assert kinds[True, 1, True] == {3: 5, 4: 9}[n]
+
+
 def random_commutative_loop(n, rng):
     """A random symmetric Latin square on 1..n-1 with identity 1, with an
     absorbing 0: it passes KR2, HF1 and HF2 but need not be associative.
@@ -577,13 +611,12 @@ PRODUCT_PAIRS = [(a, b) for a in PRODUCT_FACTORS for b in PRODUCT_FACTORS]
 @pytest.mark.parametrize("a, b", PRODUCT_PAIRS, ids=[f"{a}x{b}" for a, b in PRODUCT_PAIRS])
 def test_lights_test_decides_kr1_on_products(a, b):
     """A product's nonzero part has zero divisors, so it is no group, but
-    its 1 and 0 are neutral: Light's test proves KR1 wherever its greedy
-    generators stay within the bound, and the scan decides the rest.  Each
-    one-cell change of mul gets the oracle's verdict and witness too."""
+    its 1 and 0 are neutral: Light's test on every greedy generator proves
+    KR1, however many generators the axis elements need.  Each one-cell
+    change of mul gets the oracle's verdict and witness too."""
     c = product_candidate(PRODUCT_FACTORS[a](), PRODUCT_FACTORS[b]())
     n = c.n
-    fits = len(list(core.greedy_generators(n, c.mul))) <= (n - 1).bit_length()
-    assert core._Table(n, c.hyperadd, c.mul).associative == fits
+    assert core._Table(n, c.hyperadd, c.mul).associative
     assert verify(c)["KR1"] == kr1_expected(c) == AxiomResult("KR1", True)
     rng = random.Random(f"{a}x{b}")
     for x, y in [(rng.randrange(n), rng.randrange(n))] + [
@@ -606,15 +639,16 @@ def null_magma(n, cells=()):
 
 @pytest.mark.parametrize("cells", [(), (((6, 7), 6),)], ids=["associative", "6.7=6"])
 def test_kr1_scans_where_the_generators_exceed_the_bound(cells):
-    """With more greedy generators than a group of order n-1 can have, the
-    first ones need not span the carrier, so Light's test does not decide:
-    (6.7).7 = 6 and 6.(7.7) = 0 involve no generator before 6, the fifth."""
+    """With more greedy generators than a group of order n-1 can have,
+    Light's test still decides, as it takes every one: it proves the null
+    magma associative, and with 6.7 = 6 it fails at 7, the last generator,
+    as (6.7).7 = 6 and 6.(7.7) = 0, so the scan names that witness."""
     n = 8
     mul = null_magma(n, cells)
     assert len(list(core.greedy_generators(n, mul))) > (n - 1).bit_length()
     hyperadd = tuple(tuple(1 << y for y in range(n)) for _ in range(n))
     c = HyperfieldCandidate(n, hyperadd, mul)
-    assert not core._Table(n, hyperadd, mul).associative
+    assert core._Table(n, hyperadd, mul).associative == (not cells)
     assert verify(c)["KR1"] == kr1_expected(c)
     assert verify(c)["KR1"].witness == (None if not cells else (6, 7, 7))
 

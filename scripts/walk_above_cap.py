@@ -10,8 +10,8 @@ order: the maps the walk decides, its survivors, the walk seconds (spent
 in _run_shard), the classes and the seconds of the whole enumeration, so
 total_s - walk_s is shard set-up plus survivor verification.  Every
 survivor is the least map of its orbit, so survivors and classes agree.
-Orders 7-9 take under 10 s in all and about 30 MB on a 2-core Xeon VM
-under CPython 3.11.
+Orders 7-9 take about 3 s in all and 27 MB, and order 10 16-26 s (walk
+8-14 s) and 84 MB, on a 2-core Xeon VM under CPython 3.11.
 
     PYTHONPATH=src python3 scripts/walk_above_cap.py [--orders 7 8 9]
 """

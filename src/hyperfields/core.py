@@ -17,14 +17,14 @@ The one row.  A hyperfield is fixed by its multiplication and its row
 v(z) = 1 (+) z through the scaling identity x (+) y = x . v(x^-1 y) for
 x != 0.  _expand() is the one place it is coded: expand_one_row() builds
 the constructions' tables from the v they state, the enumeration kernel
-expands each map v it searches, and verify() decides CH1, CH5 and KR3
-from the rows where a table leaves the expansion of its own row 1.
+expands each map v it keeps, and verify() decides CH1, CH5 and KR3 from
+the rows where a table leaves the expansion of its own row 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import chain
 from math import gcd
 from operator import or_
@@ -306,7 +306,9 @@ def _extensions(choices, along_edges, images, phi):
 # Each entry of AXIOM_CHECKS takes the _Table view verify() builds of a
 # validated table and returns None on success, else (witness, reason) where
 # witness is the lexicographically first violating tuple.  verify() calls
-# every entry once; the view computes each fact they share at most once.
+# every entry once; the view computes each fact they share at most once,
+# and those that read mul alone (its columns, neutral elements, Light's
+# test and inverses) once per run of calls on equal mul, in _mul_facts().
 #
 # CH2, CH3, CH4, KR2, HF1 and HF2 scan their O(n^2) cells.  CH1, CH5, KR1
 # and KR3 range over n^3 triples, and each is an exact decider, theorem
@@ -484,15 +486,36 @@ class _fact:
         return value
 
 
+@lru_cache(maxsize=1)
+def _mul_facts(n, rows):
+    """The facts of a table that read its multiplication alone, given as
+    rows of tuples: (cols, neutral, associative, inv).  neutral is (0 is
+    two-sided absorbing, 1 is a two-sided identity); associative is Light's
+    test on each greedy generator in turn, given the identity and the
+    absorbing zero: the generators and 0 span the carrier, so the test
+    decides KR1.  It stops at the first generator that fails.  The one
+    entry serves each run of tables with equal rows, such as the survivors
+    of one group that enumeration verifies."""
+    cols = tuple(zip(*rows))
+    neutral = not any(rows[0]) and not any(cols[0]), rows[1] == cols[1] == tuple(range(n))
+    # (x.s).y against x.(s.y) over y
+    associative = all(neutral) and all(rows[mx[s]] == tuple(map(mx.__getitem__, rows[s]))
+                                       for s in greedy_generators(n, rows) for mx in rows[2:])
+    return cols, neutral, associative, inverses(n, rows)
+
+
 class _Table:
     """One verify() call's view of a table: n, hyperadd and mul as given
-    (tuple or list rows), and the facts the axiom checks share, each
-    computed at most once.  suspects is the one fact CH1, CH5 and KR3 are
-    decided from: where it is 0 they hold.  misses holds the distributivity
-    fact of each map asked of _miss()."""
+    (tuple or list rows), the rows of mul as tuples, so that rows and
+    columns compare, the facts of _mul_facts(), and the facts the axiom
+    checks share, each computed at most once.  suspects is the one fact
+    CH1, CH5 and KR3 are decided from: where it is 0 they hold.  misses
+    holds the distributivity fact of each map asked of _miss()."""
 
     def __init__(self, n, hyperadd, mul):
         self.n, self.hyperadd, self.mul, self.misses = n, hyperadd, mul, {}
+        self.rows = tuple(map(tuple, mul))
+        self.cols, self.neutral, self.associative, self.inv = _mul_facts(n, self.rows)
 
     @_fact
     def members(t):
@@ -504,34 +527,9 @@ class _Table:
         return list(map(_zero_partners, t.hyperadd))
 
     @_fact
-    def rows(t):
-        """The rows of mul as tuples, so that rows and columns compare."""
-        return tuple(map(tuple, t.mul))
-
-    @_fact
-    def cols(t):
-        return tuple(zip(*t.mul))
-
-    @_fact
     def asymmetry(t):
         """The first cell (x, y) with x (+) y != y (+) x, or None."""
         return _asymmetry(t.hyperadd, tuple(zip(*t.hyperadd)))
-
-    @_fact
-    def neutral(t):
-        """(0 is two-sided absorbing, 1 is a two-sided identity) in mul."""
-        rows, cols = t.rows, t.cols
-        return not any(rows[0]) and not any(cols[0]), rows[1] == cols[1] == tuple(range(t.n))
-
-    @_fact
-    def associative(t):
-        """Light's test on each greedy generator in turn, given the identity
-        and the absorbing zero: the generators and 0 span the carrier, so
-        the test decides KR1.  It stops at the first generator that fails."""
-        rows = t.rows
-        # (x.s).y against x.(s.y) over y
-        return all(t.neutral) and all(rows[mx[s]] == tuple(map(mx.__getitem__, rows[s]))
-                                      for s in greedy_generators(t.n, rows) for mx in rows[2:])
 
     @_fact
     def expansion(t):
@@ -539,11 +537,10 @@ class _Table:
         as lists, or None where mul is not a commutative group with zero
         (Light's test passes, rows equal columns, every x != 0 has an
         inverse)."""
-        n, rows = t.n, t.rows
-        if not (t.associative and rows == t.cols):
+        n, rows, inv = t.n, t.rows, t.inv
+        if not (t.associative and rows == t.cols and all(inv[1:])):
             return None
-        inv = inverses(n, rows)
-        return _expand(n, rows, inv, *_row_scalars(rows, t.hyperadd[1])) if all(inv[1:]) else None
+        return _expand(n, rows, inv, *_row_scalars(rows, t.hyperadd[1]))
 
     @_fact
     def suspects(t):

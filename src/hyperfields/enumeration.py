@@ -26,7 +26,9 @@ chosen:
       visits only choices that pass, and every leaf passes CH5 (at x = 0 as
       0 (+) y = {y}, at x != 0 by the scaling of the expansion).  Leaves are
       tested for CH1 by core's symmetry theorem, whose premises the
-      expansion and (b) supply; all other axioms hold by construction;
+      expansion and (b) supply, on the map itself: M[a][u] = v(a) (+) u =
+      u.(1 (+) u^-1.v(a)) is read from the masks, and only the leaves that
+      pass are expanded.  All other axioms hold by construction;
   (d) each class is searched once.  Hyperfields over one group G are
       isomorphic exactly when an automorphism sigma of G carries one row
       onto the other, sigma.v.sigma^-1 = v', and sigma.v has the opposite
@@ -35,14 +37,15 @@ chosen:
       orbit is kept: z* is least in its orbit under Aut(G), the first row
       m (of z = 1, which every sigma fixes) has sigma(m) >= m for every
       sigma fixing z*, and a leaf is no larger than its image under any
-      such sigma, which is tested before the leaf is expanded, as every
-      map of an orbit passes CH1 or none does.
+      such sigma, which is tested before the leaf's CH1 test, as every map
+      of an orbit passes CH1 or none does.
 
 So each survivor is its own class and the least map of its orbit, which
 is the key of iso.fingerprint: survivors need no isomorphism search, only
-verification and the fingerprint's order of the groups, so the result is
-byte-identical across runs and worker counts.  The budget is checked
-during the scan and again before and after verification.
+verification, which derives the facts of a group's multiplication once
+for all its survivors, and the fingerprint's order of the groups, so the
+result is byte-identical across runs and worker counts.  The budget is
+checked during the scan and again before and after verification.
 """
 
 from __future__ import annotations
@@ -56,10 +59,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .core import (  # bench/spans.py wraps _expand, ch5_violation and ch1_violation here
+from .core import (  # bench/spans.py wraps _expand and ch5_violation here, and ch1_violation
     Hyperfield,
     HyperfieldCandidate,
-    _ch1_symmetry as ch1_violation,
+    _Bits,
     _ch5_scan as ch5_violation,  # unused here: bound for bench/spans.py alone
     _expand,
     group_isomorphisms,
@@ -152,7 +155,9 @@ class _Pair(NamedTuple):
     """The set-up that the shards of one (group, z*) share: the plan of
     _pair_checks, below[d] = the maps under one choice at depth d, and for
     each automorphism sigma != 1 fixing z*, a rival (src, carry) with
-    (sigma.v)(z) = carry[v(src[k])] at the z of slot k (none: no orbit prune)."""
+    (sigma.v)(z) = carry[v(src[k])] at the z of slot k (none: no orbit prune),
+    and for ch1_violation the (a, u, a.-, a^-1.-, u.-, u^-1.-) for
+    1 <= a < u < n, the maps as rows of smul, and the members of each mask."""
 
     n: int
     mul: tuple
@@ -163,6 +168,8 @@ class _Pair(NamedTuple):
     bounds: list
     below: list
     rivals: tuple
+    sides: list
+    members: _Bits
 
 
 def _pair(n, mul, zstar, stabiliser):
@@ -173,8 +180,11 @@ def _pair(n, mul, zstar, stabiliser):
     below = [math.prod(len(c) for _, c in slots[d + 1:]) for d in range(len(slots))]
     rivals = tuple((tuple(sigma.index(z) for z, _ in slots), _carry(n, [1 << w for w in sigma]))
                    for sigma in stabiliser)
-    return _Pair(n, mul, inv, _scalar_tables(n, mul), slots,
-                 *_pair_checks(n, mul, inv, zstar, slots), below, rivals)
+    smul = _scalar_tables(n, mul)
+    sides = [(a, u, smul[a], smul[inv[a]], smul[u], smul[inv[u]])
+             for a in range(1, n) for u in range(a + 1, n)]
+    return _Pair(n, mul, inv, smul, slots, *_pair_checks(n, mul, inv, zstar, slots),
+                 below, rivals, sides, _Bits())
 
 
 def _admitted(pair, d, masks):
@@ -194,6 +204,34 @@ def _least(masks, keys, rivals):
     return all(row <= [carry[masks[s]] for s in src] for src, carry in rivals)
 
 
+class _OnePlus(dict):
+    """m -> 1 (+) m, the OR of v(w) over the members w of m, v(0) = {1},
+    for one map v, each mask on its first lookup."""
+
+    def __init__(self, v, members):
+        self.v, self.members = v, members
+
+    def __missing__(self, m):
+        v, s = self.v, 0
+        for w in self.members[m]:
+            s |= v[w]
+        self[m] = s
+        return s
+
+
+def ch1_violation(pair, v):
+    """CH1 of the expansion of the map v, decided on v alone: None when
+    M[a][u] = v(a) (+) u is symmetric, else its first (a, u), a < u, which is
+    core._ch1_symmetry's on the expansion.  Expansions are commutative
+    under prune (b), so v(a) (+) u = u . (1 (+) u^-1 . v(a)) for u != 0, and
+    row and column 0 of M are both v."""
+    one = _OnePlus(v, pair.members)
+    for a, u, sa, sai, su, sui in pair.sides:
+        if su[one[sui[v[a]]]] != sa[one[sai[v[u]]]]:
+            return a, u
+    return None
+
+
 def _run_shard(args):
     """Search one shard: a (group, z*) set-up and the mask of the first row.
 
@@ -208,7 +246,7 @@ def _run_shard(args):
     pair, first, deadline = args
     if deadline is not None and time.monotonic() > deadline:
         return 0, [], True
-    n, mul, inv, smul, slots, choices, _, below, rivals = pair
+    n, mul, inv, smul, slots, choices, _, below, rivals, *_ = pair
     keys = [z for z, _ in slots]
     steps = [(z, inv[z], smul[inv[z]]) for z in keys]
     last = len(slots) - 1
@@ -233,10 +271,8 @@ def _run_shard(args):
                 pending[d] = iter(admitted)
                 break
             scanned += 1
-            if _least(masks, keys, rivals):
-                hyperadd = _expand(n, mul, inv, smul, masks)
-                if ch1_violation(hyperadd) is None:
-                    survivors.append((tuple(map(tuple, hyperadd)), mul))
+            if _least(masks, keys, rivals) and ch1_violation(pair, masks) is None:
+                survivors.append((tuple(map(tuple, _expand(n, mul, inv, smul, masks))), mul))
         else:
             d -= 1
     return scanned, survivors, False

@@ -15,6 +15,7 @@ from hyperfields import (
     hyper_sum_sets,
     massouros,
     opposite,
+    product_candidate,
     quotient,
     relabel,
     subgroup_closure,
@@ -144,7 +145,8 @@ class TestVerify:
             self, monkeypatch, cells, failing):
         """verify() calls each AXIOM_CHECKS entry exactly once, wrapped in
         place as a tracer wraps them, so per-axiom spans are truthful; and
-        its one table view computes each shared fact at most once."""
+        its one table view computes each shared fact at most once, those
+        that read mul alone in one call of core._mul_facts."""
         calls = Counter()
 
         def counted(name, fn):
@@ -159,11 +161,33 @@ class TestVerify:
                  if isinstance(fact, core._fact)}
         for name, fact in facts.items():
             monkeypatch.setattr(fact, "compute", counted(name, fact.compute))
+        core._mul_facts.cache_clear()
         report = verify(mutated_five(cells))
         assert {r.axiom for r in report.failures()} == failing
         assert [calls[code] for code, _ in core.AXIOM_CHECKS] == [1] * 10
         assert max(calls[name] for name in facts) == 1
-        assert {"rows", "associative", "suspects", "leaders", "asymmetry"} <= set(calls)
+        assert {"suspects", "leaders", "asymmetry"} <= set(calls)
+        assert core._mul_facts.cache_info()[:2] == (0, 1)  # (hits, misses)
+
+    def test_cached_mul_facts_are_never_stale(self):
+        """core._mul_facts keeps the facts of the last mul across calls.  In
+        any order, with and without hits, each report equals the one made
+        on an empty cache: a hyperfield, the same with one product changed,
+        a copy with list rows and a product candidate."""
+        h = massouros(gf(2, 3)).candidate
+        changed = [list(row) for row in h.mul]
+        changed[2][3] = 4
+        tables = [h, HyperfieldCandidate(h.n, h.hyperadd, changed),
+                  HyperfieldCandidate(h.n, list(map(list, h.hyperadd)), list(map(list, h.mul))),
+                  product_candidate(massouros(gf(2)), massouros(gf(3)))]
+        want = []
+        for c in tables:
+            core._mul_facts.cache_clear()
+            want.append(verify(c))
+        assert [r.ok for r in want] == [True, False, True, False]
+        for k in (0, 1, 0, 2, 2, 3, 0, 1, 1, 2, 3, 3, 1):
+            assert verify(tables[k]) == want[k], k
+        assert core._mul_facts.cache_info().hits >= 4
 
     def test_structural_rejects_before_axioms(self):
         with pytest.raises(StructuralError):
@@ -172,6 +196,11 @@ class TestVerify:
             verify(HyperfieldCandidate(1, ((1,),), ((0,),)))
         with pytest.raises(StructuralError):
             verify(HyperfieldCandidate(2, ((1, 2),), ((0, 0), (0, 1))))
+        nan = float("nan")
+        for hyperadd, mul in ((((1, nan), (2, 1)), ((0, 0), (0, 1))),
+                              (((2, 3), (3, 1)), ((0, 0), (nan, 1)))):
+            with pytest.raises(StructuralError):
+                verify(HyperfieldCandidate(2, hyperadd, mul))
 
     def test_report_is_deterministic(self, five_candidate):
         c = mutated_five({(1, 2): [1], (2, 1): [1]})

@@ -233,21 +233,29 @@ def unpruned_shards(n):
     return shards
 
 
-def flat_shard(shard):
-    """The shard's maps with no pruning: every map of its slots in product
-    order, expanded by core._expand and filtered by the full CH5 and CH1
-    scans over every x.  Returns (scanned, survivors, CH5 rejections, CH1
-    rejections)."""
+def shard_maps(shard):
+    """Every map v of the shard's slots, in product order, with no pruning;
+    the rows of z > z^-1 are scaled from their partners'."""
     pair, first, _ = shard
     n, mul, slots = pair.n, pair.mul, pair.slots
     inv = core.inverses(n, mul)
-    choices = [(first,)] + [c for _, c in slots[1:]]
-    survivors, ch5_rejects, ch1_rejects = [], 0, 0
-    for combo in iproduct(*choices):
+    for combo in iproduct((first,), *(c for _, c in slots[1:])):
         v = [1 << 1] + [0] * (n - 1)
         for (z, _), m in zip(slots, combo):
             v[z] = m
             v[inv[z]] = _scaled(mul, inv[z], m)
+        yield v
+
+
+def flat_shard(shard):
+    """The shard's maps with no pruning, expanded by core._expand and
+    filtered by the full CH5 and CH1 scans over every x.  Returns (scanned,
+    survivors, CH5 rejections, CH1 rejections)."""
+    n, mul = shard[0].n, shard[0].mul
+    inv = core.inverses(n, mul)
+    scanned, survivors, ch5_rejects, ch1_rejects = 0, [], 0, 0
+    for v in shard_maps(shard):
+        scanned += 1
         smul, keys = core._row_scalars(mul, v)
         hyperadd = core._expand(n, mul, inv, smul, keys)
         table = core._Table(n, hyperadd, mul)
@@ -258,7 +266,7 @@ def flat_shard(shard):
             ch1_rejects += 1
         else:
             survivors.append((tuple(map(tuple, hyperadd)), mul))
-    return math.prod(map(len, choices)), survivors, ch5_rejects, ch1_rejects
+    return scanned, survivors, ch5_rejects, ch1_rejects
 
 
 @pytest.fixture(scope="module")
@@ -299,23 +307,43 @@ class TestKernelFilters:
             30752, 30638, 114, 71, 43)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_leaf_test_agrees_with_the_symmetry_test_on_the_expansion(self, n):
+        """On every map of every unpruned shard, CH5 passing or not, the
+        leaf test decided on the map returns what core's symmetry test
+        returns on the map's expansion, its first (a, u) or None."""
+        verdicts = set()
+        for shard in unpruned_shards(n):
+            pair = shard[0]
+            for v in shard_maps(shard):
+                hit = core._ch1_symmetry(core._expand(n, pair.mul, pair.inv, pair.smul, v))
+                assert enumeration.ch1_violation(pair, v) == hit, v
+                verdicts.add(hit is None)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_every_leaf_passes_ch5(self, flat, monkeypatch, n):
-        """The pair prune is complete: every expanded leaf passes the full
-        CH5 scan, and the leaves are exactly the flat oracle's maps that
-        pass CH5."""
-        leaves = []
-        expand = enumeration._expand
+        """The pair prune is complete: every leaf, expanded from the map the
+        leaf test is given, passes the full CH5 scan, and the leaves are
+        exactly the flat oracle's maps that pass CH5.  Only the survivors
+        of the leaf test are expanded, each once."""
+        leaves, expanded = [], []
+        test, expand = enumeration.ch1_violation, enumeration._expand
 
-        def collecting(n, mul, *args):
-            hyperadd = expand(n, mul, *args)
-            leaves.append(core._Table(n, hyperadd, mul))
-            return hyperadd
+        def collecting(pair, v):
+            hyperadd = core._expand(pair.n, pair.mul, pair.inv, pair.smul, v)
+            leaves.append(core._Table(pair.n, hyperadd, pair.mul))
+            return test(pair, v)
 
-        monkeypatch.setattr(enumeration, "_expand", collecting)
-        for shard, _ in flat[n]:
-            enumeration._run_shard(shard)
+        def counting(*args):
+            expanded.append(args[0])
+            return expand(*args)
+
+        monkeypatch.setattr(enumeration, "ch1_violation", collecting)
+        monkeypatch.setattr(enumeration, "_expand", counting)
+        survivors = sum(len(enumeration._run_shard(shard)[1]) for shard, _ in flat[n])
         assert all(core._ch5_scan(t, range(n)) is None for t in leaves)
         assert len(leaves) == sum(s - r5 for _, (s, _, r5, _) in flat[n])
+        assert len(expanded) == survivors
 
 
 def ch5_at_one_holds(mul, zstar, v, rows):

@@ -8,17 +8,18 @@ compare, and fast to scan in the enumeration kernel.
 Nothing is assumed about a candidate beyond table shape: the distinguished
 zero (index 0) and one (index 1) earn their roles through verify(), which
 checks the canonical-hypergroup axioms CH1..CH5, the hyperring axioms
-KR1..KR3 and the hyperfield axioms HF1..HF2, each once on one view of the
-table.  The four cubic axioms have exact deciders, theorem first, scan
-second: a theorem proves the axiom where it applies, and otherwise a scan
-names the witness an exhaustive one would (see the comment on the checks).
+KR1..KR3 and the hyperfield axioms HF1..HF2 on one view of the table.
+The four cubic axioms have exact deciders, theorem first, scan second: a
+theorem proves the axiom where it applies, and otherwise a scan names the
+witness an exhaustive one would (see the comment on the checks).
 
 The one row.  A hyperfield is fixed by its multiplication and its row
 v(z) = 1 (+) z through the scaling identity x (+) y = x . v(x^-1 y) for
 x != 0.  _expand() is the one place it is coded: expand_one_row() builds
 the constructions' tables from the v they state, the enumeration kernel
-expands each map v it keeps, and verify() decides CH1, CH5 and KR3 from
-the rows where a table leaves the expansion of its own row 1.
+expands each map v it keeps, and verify() passes a table exactly where it
+is the expansion of its own row 1 and that is a hyperfield, and otherwise
+decides CH1, CH5 and KR3 from the rows where the two differ.
 """
 
 from __future__ import annotations
@@ -306,9 +307,10 @@ def _extensions(choices, along_edges, images, phi):
 # Each entry of AXIOM_CHECKS takes the _Table view verify() builds of a
 # validated table and returns None on success, else (witness, reason) where
 # witness is the lexicographically first violating tuple.  verify() calls
-# every entry once; the view computes each fact they share at most once,
-# and those that read mul alone (its columns, neutral elements, Light's
-# test and inverses) once per run of calls on equal mul, in _mul_facts().
+# every entry once on a table with a suspect row (below), and none on one
+# without; the view computes each fact they share at most once, and those
+# that read mul alone (its columns, neutral elements, Light's test and
+# inverses) once per run of calls on equal mul, in _mul_facts().
 #
 # CH2, CH3, CH4, KR2, HF1 and HF2 scan their O(n^2) cells.  CH1, CH5, KR1
 # and KR3 range over n^3 triples, and each is an exact decider, theorem
@@ -327,58 +329,59 @@ def _extensions(choices, along_edges, images, phi):
 #   KR3: the left law at x is the distributivity of the map rows[x],
 #     w -> x.w, and the right law that of cols[x] (see below); the witness
 #     at x is the least (y, z, law), left first.  x is taken in ascending
-#     order where some row is a suspect (with none KR3 holds).  x = 0
-#     distributes where 0 is absorbing and 0 (+) 0 = {0}, and x = 1 where
-#     1 is the identity.  If g and c distribute, so does any x whose row is
-#     g.(c.w) over w and whose column is (w.g).c over w: apply the laws of
-#     c and then those of g.  An x that no pair (g, c) has certified this
-#     way, with g shown distributive and c certified, is scanned, and the
-#     first x that fails its scan is the first x that fails at all.  Each
-#     pair is tried once, at O(n).
+#     order.  x = 0 distributes where 0 is absorbing and 0 (+) 0 = {0}, and
+#     x = 1 where 1 is the identity.  If g and c distribute, so does any x
+#     whose row is g.(c.w) over w and whose column is (w.g).c over w: apply
+#     the laws of c and then those of g.  An x that no pair (g, c) has
+#     certified this way, with g shown distributive and c certified, is
+#     scanned, and the first x that fails its scan is the first x that
+#     fails at all.  Each pair is tried once, at O(n).
 #   CH1 and CH5: a left multiplication s: w -> x.w that is a bijection,
 #     fixes 0 and distributes is an automorphism of (H, (+)), and it maps a
 #     violation at (x, y, z) to one at (s x, s y, s z) with the same reason
 #     (it maps opposites to opposites, as it fixes 0).  So the x with a
 #     violation are a union of orbits of the group such maps generate, and
 #     the first of them leads its orbit: only the least element of each
-#     orbit is scanned.  With no suspect rows every x != 0 gives such a
-#     map, and the leaders are 0 and 1.  Otherwise generators are taken
-#     greedily from the x that still lead their orbits, and the search
-#     stops at the first bijection fixing 0 that does not distribute; with
-#     none found every x is scanned.  CH1 skips x = 0 where CH3 holds, as
-#     0 (+) m = m.
-#   CH1, CH5 and KR3: the suspect rows.  Where mul is a commutative group
-#     with zero (Light's test passes, rows equal columns, every x != 0 has
-#     an inverse), let E be the expansion of hyperadd's own row 1 by the
-#     scaling identity x (+) y = x . v(x^-1 y), v(z) = 1 (+) z.  E passes
-#     KR3: for a, b, c != 0 ab (+) ac = ab . v(b^-1 c) = a . (b . v(b^-1 c))
-#     = a . (b (+) c); a, b or c = 0 holds by the expansion's row and column
-#     0 and the absorbing 0, and the right law by commutativity.  E passes
-#     CH3, KR1, KR2, HF1 and HF2 by construction.  For x, y != 0 and
-#     u = x^-1 y, E[x][y] = x . E[1][u] and E[y][x] = x . E[u][1], scaling
-#     by x is one-to-one on masks and keeps 0 in or out, and E[0][y] =
-#     E[y][0] = {y}: so E is symmetric exactly when row 1 is column 1, and
-#     its opposites are unique exactly when one nonzero u has 0 in E[1][u].
-#     Where both hold, the symmetry theorem decides CH1, and CH1
-#     gives CH5: from z in x (+) y, 0 in z' (+) z lies in (z' (+) x) (+) y,
-#     so the one opposite y' of y lies in z' (+) x, and scaling by 1' gives
-#     y in z (+) x', as w' = 1'.w and 1'.1' = 1 (1 is the opposite of 1');
+#     orbit is scanned.  Generators are taken greedily from the x that
+#     still lead their orbits, and the search stops at the first bijection
+#     fixing 0 that does not distribute; with none found every x is
+#     scanned.  CH1 skips x = 0 where CH3 holds, as 0 (+) m = m.
+#   All ten, and CH1, CH5 and KR3: the suspect rows.  Where mul is a
+#     commutative group with zero (Light's test passes, rows equal columns,
+#     every x != 0 has an inverse), let E be the expansion of hyperadd's own
+#     row 1 by the scaling identity x (+) y = x . v(x^-1 y), v(z) = 1 (+) z.
+#     E passes KR3: for a, b, c != 0 ab (+) ac = ab . v(b^-1 c) =
+#     a . (b . v(b^-1 c)) = a . (b (+) c); a, b or c = 0 holds by the
+#     expansion's row and column 0 and the absorbing 0, and the right law by
+#     commutativity.  E passes CH3 by its row 0, KR1 by Light's test, KR2
+#     and HF1 by the neutral 0 and 1 and rows equal to columns, and HF2 by
+#     the inverses: x.y = 0 with x != 0 gives y = x^-1.(x.y) = 0.  For
+#     x, y != 0 and u = x^-1 y, E[x][y] = x . E[1][u] and E[y][x] =
+#     x . E[u][1], scaling by x is one-to-one on masks and keeps 0 in or
+#     out, and E[0][y] = E[y][0] = {y}: so E passes CH2 exactly when row 1
+#     is column 1, and CH4 exactly when one nonzero u has 0 in E[1][u].
+#     Where both hold, the symmetry theorem decides CH1, and CH1 gives CH5:
+#     from z in x (+) y, 0 in z' (+) z lies in (z' (+) x) (+) y, so the one
+#     opposite y' of y lies in z' (+) x, and scaling by 1' gives y in
+#     z (+) x', as w' = 1'.w and 1'.1' = 1 (1 is the opposite of 1');
 #     x in z (+) y' is the same with x and y swapped.  Where E is so a
 #     hyperfield, the suspects are the rows where hyperadd differs from E;
-#     otherwise every row is one.  An instance of CH1, CH5 or KR3 that
-#     reads no suspect row evaluates as it does in E, where it holds, so
-#     each violation reads a suspect row, and a table with no suspects
-#     passes all three: it is the hyperfield E.  CH1 at (x, y, z) reads the
-#     rows of x, of y and of the members of x (+) y; CH5 reads those and
-#     the row of x', with the opposites read off the table, which are E's
-#     outside the suspects; KR3 reads the rows of y and of x.y = y.x.  So
-#     for x not a suspect, CH1 and CH5 visit only the suspect y and the y
-#     with x (+) y meeting a suspect, CH5 every y also where x' is
-#     undefined or a suspect, and the distributivity scan of x's row or
-#     column only the y with y or x.y a suspect.  A y skipped holds for
-#     every z, so each scan keeps its order and returns the same first
-#     witness; masks are decoded only for the rows visited, and table-wide
-#     where every row is a suspect.
+#     otherwise every row is one.  A table passes all ten exactly when it
+#     has no suspects: with none it is E, and by KR3 one that passes all
+#     ten is the expansion of its row 1, a hyperfield.  So verify() reports
+#     a pass at once where there are none, and scans only tables with some.
+#     An instance of CH1, CH5 or KR3 that reads no suspect row evaluates as
+#     it does in E, where it holds, so each violation reads a suspect row.
+#     CH1 at (x, y, z) reads the rows of x, of y and of the members of
+#     x (+) y; CH5 reads those and the row of x', with the opposites read
+#     off the table, which are E's outside the suspects; KR3 reads the rows
+#     of y and of x.y = y.x.  So for x not a suspect, CH1 and CH5 visit
+#     only the suspect y and the y with x (+) y meeting a suspect, CH5 every
+#     y also where x' is undefined or a suspect, and the distributivity
+#     scan of x's row or column only the y with y or x.y a suspect.  A y
+#     skipped holds for every z, so each scan keeps its order and returns
+#     the same first witness; masks are decoded only for the rows visited,
+#     and table-wide where every row is a suspect.
 #
 # A scan takes a whole row over z at a time: for fixed x and y each side
 # becomes a sequence over z, built by C-level map() and compared with one
@@ -394,25 +397,23 @@ def _extensions(choices, along_edges, images, phi):
 # alike.  Cells must be nonempty, which validate_candidate() and the
 # enumeration kernel's expansion guarantee.
 #
-# Cost on a hyperfield: Light's test compares n-2 rows of length n per
-# greedy generator, and a group of order n-1 has at most log2(n-1) of those
-# (GF(2^k) has k), so it is O(n^2 log n); building E, comparing it with
-# the table and deciding it a hyperfield take O(n^2) mask operations plus
-# one OR per member of each distinct mask they scale or sum, O(n^2) on
-# cells of bounded size, such as the triple-sum and pair hyperfields, and
-# with no suspects the CH1, CH5 and KR3 scans visit nothing.  A table whose
-# multiplication is one cell off a group's keeps the automorphisms of the
-# intact rows: the orbit search scans the rows of a few generators, CH1
-# and CH5 scan 0 and the few leaders of the group those generate, and KR3
-# reads those scans and scans the x below its witness that no pair
-# reaches: O(n^2 log n) on bounded cells.  A hyperaddition corruption
-# breaks the automorphisms (the search's first scan usually shows it), so
-# CH1 and CH5 scan every x up to their witness; where row 1 still expands
-# to a hyperfield E, each x not a suspect costs O(n) plus O(n) per y
-# visited, a few y on bounded cells, so a corruption of a few cells costs
-# O(n^2) besides deciding E, O(n^2 log n).  A corrupted row 1 usually
-# leaves E no hyperfield, and then the scans visit every y, O(n^3) when
-# the witness sits near row n.
+# Cost on a hyperfield: Light's test compares n-2 rows of length n per greedy
+# generator, and a group of order n-1 has at most log2(n-1) of those (GF(2^k)
+# has k), so it is O(n^2 log n); building E, comparing it with the table and
+# deciding it a hyperfield take O(n^2) mask operations plus one OR per member
+# of each distinct mask they scale or sum, O(n^2) on cells of bounded size,
+# such as the triple-sum and pair hyperfields, and with no suspects that is
+# all.  A table whose multiplication is one cell off a group's keeps the
+# automorphisms of the intact rows: the orbit search scans the rows of a few
+# generators, CH1 and CH5 scan 0 and the few leaders of the group those
+# generate, and KR3 reads those scans and scans the x below its witness that
+# no pair reaches: O(n^2 log n) on bounded cells.  A hyperaddition corruption
+# breaks the automorphisms (the search's first scan usually shows it), so CH1
+# and CH5 scan every x up to their witness; where row 1 still expands to a
+# hyperfield E, each x not a suspect costs O(n) plus O(n) per y visited, a few
+# y on bounded cells, so a corruption of a few cells costs O(n^2) besides
+# deciding E, O(n^2 log n).  A corrupted row 1 usually leaves E no hyperfield,
+# and then the scans visit every y, O(n^3) when the witness sits near row n.
 
 
 class _Bits(dict):
@@ -508,9 +509,9 @@ class _Table:
     """One verify() call's view of a table: n, hyperadd and mul as given
     (tuple or list rows), the rows of mul as tuples, so that rows and
     columns compare, the facts of _mul_facts(), and the facts the axiom
-    checks share, each computed at most once.  suspects is the one fact
-    CH1, CH5 and KR3 are decided from: where it is 0 they hold.  misses
-    holds the distributivity fact of each map asked of _miss()."""
+    checks share, each computed at most once.  suspects is 0 exactly where
+    all ten hold, and CH1, CH5 and KR3 are decided from it.  misses holds
+    the distributivity fact of each map asked of _miss()."""
 
     def __init__(self, n, hyperadd, mul):
         self.n, self.hyperadd, self.mul, self.misses = n, hyperadd, mul, {}
@@ -545,11 +546,11 @@ class _Table:
     @_fact
     def suspects(t):
         """The mask of the rows where hyperadd differs from E where E is a
-        hyperfield, else of every row.  The CH1, CH5 and KR3 scans visit
-        only the (x, y) that read a suspect row, so with none they pass.  E
-        is a hyperfield where its row 1 and column 1 show it symmetric with
-        unique opposites and the symmetry theorem proves CH1 (see the
-        comment on the checks)."""
+        hyperfield, else of every row: 0 exactly where all ten axioms hold,
+        and otherwise the CH1, CH5 and KR3 scans visit only the (x, y) that
+        read a suspect row.  E is a hyperfield where its row 1 and column 1
+        show it symmetric with unique opposites and the symmetry theorem
+        proves CH1 (see the comment on the checks)."""
         e = t.expansion
         if (e is not None and e[1] == [row[1] for row in e]
                 and sum(m & 1 for m in e[1]) == 1 and _ch1_symmetry(e) is None):
@@ -571,8 +572,6 @@ class _Table:
         generator when its row is a bijection fixing 0 that distributes over
         (+), as _miss() tells, which KR3 reads too; the search stops at the
         first such bijection that does not."""
-        if not t.suspects:
-            return [0, 1]
         n = t.n
         perms = []
         leaders = list(range(n))
@@ -736,8 +735,6 @@ def kr2_violation(t):
 
 
 def kr3_violation(t):
-    if not t.suspects:
-        return None
     n, rows, cols = t.n, t.rows, t.cols
     outright = (t.neutral[0] and t.hyperadd[0][0] == 1, t.neutral[1])  # x = 0 and 1 distribute
     certified = [False] * n
@@ -904,26 +901,27 @@ class AxiomReport:
         raise KeyError(axiom)
 
 
+_PASSED = AxiomReport(tuple(AxiomResult(code, True) for code, _ in AXIOM_CHECKS))
+
+
 def verify(c: HyperfieldCandidate) -> AxiomReport:
     """Check all ten hyperfield axioms; never fail-fast.
 
-    Every entry of AXIOM_CHECKS runs once on one _Table view of c, and each
-    failed axiom is reported with its lexicographically first witness.  The
-    four cubic deciders try a theorem first and scan second (see the
-    comment on the axiom checks): KR1 Light's test, else a row scan; CH1,
-    CH5 and KR3 the suspect rows, where c leaves the expansion E of its own
-    row 1 while E is a hyperfield, else every row.  With no suspects all
-    three hold; otherwise the scans visit only the (x, y) that read a
-    suspect row: KR3 the x that no composition of distributive
-    multiplications certifies, CH1 and CH5 one x per orbit of the
-    automorphisms of (+).  Each map's distributivity is scanned at most
-    once, for KR3 and the orbit search alike.  A hyperfield with cells of
-    bounded size passes in O(n^2 log n), and a table a few hyperaddition
-    cells off one fails in O(n^2 log n); one whose row 1 or multiplication
-    breaks the automorphisms can cost O(n^3).
+    c passes exactly when it has no suspect rows: rows where it leaves the
+    expansion E of its own row 1 while E is a hyperfield, else every row.
+    Such a pass runs no check (see the comment on the axiom checks).
+    Otherwise every entry of AXIOM_CHECKS runs once on one _Table view of
+    c, and each failed axiom is reported with its lexicographically first
+    witness: KR1 by Light's test, else a row scan, and CH1, CH5 and KR3
+    visiting only the (x, y) that read a suspect row.  A hyperfield with
+    cells of bounded size passes in O(n^2 log n), and a table a few
+    hyperaddition cells off one fails in O(n^2 log n); one whose row 1 or
+    multiplication breaks the automorphisms can cost O(n^3).
     """
     validate_candidate(c)
     t = _Table(c.n, c.hyperadd, c.mul)
+    if not t.suspects:
+        return _PASSED
     hits = [(code, check(t)) for code, check in AXIOM_CHECKS]
     return AxiomReport(tuple(AxiomResult(code, True) if hit is None
                              else AxiomResult(code, False, *hit) for code, hit in hits))

@@ -42,10 +42,12 @@ chosen:
 
 So each survivor is its own class and the least map of its orbit, which
 is the key of iso.fingerprint: survivors need no isomorphism search, only
-verification, which derives the facts of a group's multiplication once
-for all its survivors, and the fingerprint's order of the groups, so the
-result is byte-identical across runs and worker counts.  The budget is
-checked during the scan and again before and after verification.
+verification, which derives a group's multiplication facts once for all
+its survivors and passes each, the expansion of its own row 1, on its
+suspect rows alone with no axiom scan, and the fingerprint's order of the
+groups, so the result is byte-identical across runs and worker counts.
+The budget is checked during the scan and again before and after
+verification.
 """
 
 from __future__ import annotations

@@ -143,10 +143,12 @@ class TestVerify:
     ], ids=["passing", "cubic-only", "quadratic"])
     def test_every_check_runs_once_and_each_fact_is_derived_once(
             self, monkeypatch, cells, failing):
-        """verify() calls each AXIOM_CHECKS entry exactly once, wrapped in
-        place as a tracer wraps them, so per-axiom spans are truthful; and
-        its one table view computes each shared fact at most once, those
-        that read mul alone in one call of core._mul_facts."""
+        """verify() calls each AXIOM_CHECKS entry exactly once on a table
+        with suspect rows, wrapped in place as a tracer wraps them, so
+        per-axiom spans are truthful, and none on a table without, which
+        gets the all-pass report from suspects alone; and its one table
+        view computes each shared fact at most once, those that read mul
+        alone in one call of core._mul_facts."""
         calls = Counter()
 
         def counted(name, fn):
@@ -164,9 +166,15 @@ class TestVerify:
         core._mul_facts.cache_clear()
         report = verify(mutated_five(cells))
         assert {r.axiom for r in report.failures()} == failing
-        assert [calls[code] for code, _ in core.AXIOM_CHECKS] == [1] * 10
         assert max(calls[name] for name in facts) == 1
-        assert {"suspects", "leaders", "asymmetry"} <= set(calls)
+        if failing:
+            assert [calls[code] for code, _ in core.AXIOM_CHECKS] == [1] * 10
+            assert {"suspects", "leaders", "asymmetry"} <= set(calls)
+        else:
+            assert [calls[code] for code, _ in core.AXIOM_CHECKS] == [0] * 10
+            assert calls["suspects"] == 1 and "leaders" not in calls
+            assert report == core.AxiomReport(tuple(
+                core.AxiomResult(code, True) for code, _ in core.AXIOM_CHECKS))
         assert core._mul_facts.cache_info()[:2] == (0, 1)  # (hits, misses)
 
     def test_cached_mul_facts_are_never_stale(self):

@@ -12,8 +12,9 @@ witness and the same reason, or both must pass.
 
 Each decider applies its theorem first: Light's test for KR1, and for
 CH1, CH5 and KR3 the suspect rows, where the table leaves the expansion E
-of its own row 1 while E is a hyperfield (every row where it is not): with
-no suspects all three hold.  Every input here checks that verify() returns
+of its own row 1 while E is a hyperfield (every row where it is not): a
+table passes all ten exactly when it has no suspects, and then verify()
+runs no check.  Every input here checks that verify() returns
 exactly the report of the oracles and the six O(n^2) checks.  Light's test
 and the suspects are also checked on their own against the oracles of the
 axioms they prove, because a whole report can hide a wrong step behind
@@ -624,6 +625,52 @@ def test_lights_test_decides_kr1_on_products(a, b):
         v = rng.choice([w for w in range(n) if w != c.mul[x][y]])
         changed = with_cells(c, mul_cells=[((x, y), v)])
         assert verify(changed)["KR1"] == kr1_expected(changed)
+
+
+def passes_exactly_without_suspects(c):
+    """verify(c) passes exactly where c has no suspect rows, and a pass is
+    the report of the oracles and the six O(n^2) checks."""
+    report = verify(c)
+    assert report.ok == (core._Table(c.n, c.hyperadd, c.mul).suspects == 0)
+    if report.ok:
+        assert report == exhaustive_report(c)
+    return report.ok
+
+
+def test_a_table_passes_exactly_when_it_has_no_suspects(enum_classes):
+    """The all-pass report comes from the suspects alone, so no table may
+    pass otherwise or fail without suspects: every row 1 at orders 3 and 4
+    expanded, each also with one hyperaddition cell changed; the classes at
+    orders 2 to 6, each also with one product changed; and the products of
+    the factors Light's test is checked on, none of them a hyperfield."""
+    rng = random.Random("no suspects")
+    verdicts = Counter()
+    for n in (3, 4):
+        (mul,) = abelian_groups(n - 1)
+        inv, smul = core.inverses(n, mul), _scalar_tables(n, mul)
+        for rest in iproduct(range(1, 1 << n), repeat=n - 1):
+            hyperadd = core._expand(n, mul, inv, smul, (2, *rest))
+            c = HyperfieldCandidate(n, tuple(map(tuple, hyperadd)), mul)
+            x, y = rng.randrange(n), rng.randrange(n)
+            m = rng.choice([m for m in range(1, 1 << n) if m != hyperadd[x][y]])
+            verdicts["row 1", passes_exactly_without_suspects(c)] += 1
+            changed = with_cells(c, add_cells=[((x, y), m)])
+            verdicts["row 1 changed", passes_exactly_without_suspects(changed)] += 1
+    classes = {**enum_classes, 6: enumerate_hyperfields(6)}
+    for n, found in classes.items():
+        for h in found:
+            c = h.candidate
+            x, y = rng.randrange(n), rng.randrange(n)
+            v = rng.choice([w for w in range(n) if w != c.mul[x][y]])
+            verdicts["class", passes_exactly_without_suspects(c)] += 1
+            changed = with_cells(c, mul_cells=[((x, y), v)])
+            verdicts["class changed", passes_exactly_without_suspects(changed)] += 1
+    for a, b in PRODUCT_PAIRS:
+        c = product_candidate(PRODUCT_FACTORS[a](), PRODUCT_FACTORS[b]())
+        verdicts["product", passes_exactly_without_suspects(c)] += 1
+    assert verdicts == {  # 5 and 9 maps, and the 2, 5, 7, 27 and 16 classes
+        ("row 1", True): 14, ("row 1", False): 3424 - 14, ("row 1 changed", False): 3424,
+        ("class", True): 57, ("class changed", False): 57, ("product", False): 25}
 
 
 def null_magma(n, cells=()):

@@ -1,9 +1,10 @@
 """Data model for Krasner hyperfield candidates and the verifier.
 
 A hyperaddition value is a nonempty subset of the carrier 0..n-1, stored as
-an int bitmask (bit i set <=> element i is a member).  Candidates keep both
-tables as plain nested tuples of ints, which makes them hashable, cheap to
-compare, and fast to scan in the enumeration kernel.
+an int bitmask (bit i set <=> element i is a member).  A candidate holds
+both tables as plain nested tuples of ints, whatever rows it is built from,
+which makes it hashable and cheap to compare, and lets every reader, the
+verifier and the enumeration kernel alike, take the rows as they are.
 
 Nothing is assumed about a candidate beyond table shape: the distinguished
 zero (index 0) and one (index 1) earn their roles through verify(), which
@@ -90,8 +91,11 @@ class ElementSet:
 class HyperfieldCandidate:
     """An order-n table pair: hyperaddition (masks) and multiplication (indices).
 
-    zero is index 0 and one is index 1 by convention; neither role is
-    presumed by the data structure -- verify() establishes them.
+    Both tables are held as tuples of tuples, whatever rows they are given,
+    so a candidate is hashable, equals its twin built from other rows, and
+    keeps no reference to a caller's lists.  zero is index 0 and one is
+    index 1 by convention; neither role is presumed by the data structure
+    -- verify() establishes them.
     """
 
     n: int
@@ -101,11 +105,14 @@ class HyperfieldCandidate:
     zero = 0
     one = 1
 
+    def __post_init__(self):
+        object.__setattr__(self, "hyperadd", tuple(map(tuple, self.hyperadd)))
+        object.__setattr__(self, "mul", tuple(map(tuple, self.mul)))
+
     @classmethod
     def from_sets(cls, n: int, hyperadd_cells, mul) -> "HyperfieldCandidate":
         """Build from per-cell member collections instead of raw masks."""
-        rows = tuple(tuple(mask_of(cell) for cell in row) for row in hyperadd_cells)
-        return cls(n, rows, tuple(tuple(row) for row in mul))
+        return cls(n, [[mask_of(cell) for cell in row] for row in hyperadd_cells], mul)
 
     def cell(self, a: int, b: int) -> tuple[int, ...]:
         return tuple(iter_bits(self.hyperadd[a][b]))
@@ -445,8 +452,8 @@ def _or_rows(a, b):
 
 def _sum_row(hyperadd, bits):
     """The row m (+) z over z of a mask m with members bits: the OR of their
-    rows, as a tuple (a candidate's rows may be lists)."""
-    return tuple(reduce(_or_rows, map(hyperadd.__getitem__, bits)))
+    rows, as a tuple."""
+    return reduce(_or_rows, map(hyperadd.__getitem__, bits))
 
 
 def _first_difference(a, b):
@@ -506,17 +513,15 @@ def _mul_facts(n, rows):
 
 
 class _Table:
-    """One verify() call's view of a table: n, hyperadd and mul as given
-    (tuple or list rows), the rows of mul as tuples, so that rows and
-    columns compare, the facts of _mul_facts(), and the facts the axiom
-    checks share, each computed at most once.  suspects is 0 exactly where
-    all ten hold, and CH1, CH5 and KR3 are decided from it.  misses holds
-    the distributivity fact of each map asked of _miss()."""
+    """One verify() call's view of a table, given a candidate's tuple rows:
+    n, hyperadd, the rows of mul, the facts of _mul_facts(), and the facts
+    the axiom checks share, each computed at most once.  suspects is 0
+    exactly where all ten hold, and CH1, CH5 and KR3 are decided from it.
+    misses holds the distributivity fact of each map asked of _miss()."""
 
     def __init__(self, n, hyperadd, mul):
-        self.n, self.hyperadd, self.mul, self.misses = n, hyperadd, mul, {}
-        self.rows = tuple(map(tuple, mul))
-        self.cols, self.neutral, self.associative, self.inv = _mul_facts(n, self.rows)
+        self.n, self.hyperadd, self.rows, self.misses = n, hyperadd, mul, {}
+        self.cols, self.neutral, self.associative, self.inv = _mul_facts(n, mul)
 
     @_fact
     def members(t):
@@ -528,20 +533,14 @@ class _Table:
         return list(map(_zero_partners, t.hyperadd))
 
     @_fact
-    def asymmetry(t):
-        """The first cell (x, y) with x (+) y != y (+) x, or None."""
-        return _asymmetry(t.hyperadd, tuple(zip(*t.hyperadd)))
-
-    @_fact
     def expansion(t):
         """E, the expansion of hyperadd's own row 1 by the scaling identity,
-        as lists, or None where mul is not a commutative group with zero
-        (Light's test passes, rows equal columns, every x != 0 has an
-        inverse)."""
+        or None where mul is not a commutative group with zero (Light's test
+        passes, rows equal columns, every x != 0 has an inverse)."""
         n, rows, inv = t.n, t.rows, t.inv
         if not (t.associative and rows == t.cols and all(inv[1:])):
             return None
-        return _expand(n, rows, inv, *_row_scalars(rows, t.hyperadd[1]))
+        return _expand(n, rows, inv, *_row_scalars(t.cols, t.hyperadd[1]))
 
     @_fact
     def suspects(t):
@@ -552,9 +551,9 @@ class _Table:
         show it symmetric with unique opposites and the symmetry theorem
         proves CH1 (see the comment on the checks)."""
         e = t.expansion
-        if (e is not None and e[1] == [row[1] for row in e]
+        if (e is not None and e[1] == tuple([row[1] for row in e])
                 and sum(m & 1 for m in e[1]) == 1 and _ch1_symmetry(e) is None):
-            return mask_of(x for x, row in enumerate(t.hyperadd) if list(row) != e[x])
+            return mask_of(x for x, row in enumerate(t.hyperadd) if row != e[x])
         return (1 << t.n) - 1
 
     @_fact
@@ -650,7 +649,7 @@ def _ch1_scan(t, xs):
 def _asymmetry(rows, cols):
     """The first (x, y) with rows[x][y] != cols[x][y], or None, given the
     columns cols of rows: the first row unlike its column differs at y > x."""
-    for x, row in enumerate(map(tuple, rows)):
+    for x, row in enumerate(rows):
         if row != cols[x]:
             return x, _first_difference(row, cols[x])
     return None
@@ -673,7 +672,8 @@ def ch1_violation(t):
 
 
 def ch2_violation(t):
-    return None if t.asymmetry is None else (t.asymmetry, "sum not symmetric")
+    hit = _asymmetry(t.hyperadd, tuple(zip(*t.hyperadd)))
+    return None if hit is None else (hit, "sum not symmetric")
 
 
 def ch3_violation(t):
@@ -729,7 +729,7 @@ def kr1_violation(t):
 
 def kr2_violation(t):
     for x in range(t.n):
-        if t.mul[x][0] != 0 or t.mul[0][x] != 0:
+        if t.rows[x][0] != 0 or t.rows[0][x] != 0:
             return (x,), "zero not absorbing"
     return None
 
@@ -775,9 +775,8 @@ def hf2_violation(t):
     for x in range(1, t.n):
         if 0 in rows[x][1:]:
             return (x, rows[x].index(0, 1)), "zero divisor"
-    for x in range(1, t.n):
-        if 1 not in rows[x][1:]:
-            return (x,), "no multiplicative inverse"
+    if 0 in t.inv[1:]:
+        return (t.inv.index(0, 1),), "no multiplicative inverse"
     return None
 
 
@@ -815,21 +814,22 @@ def _expand(n, mul, inv, smul, keys):
     """The hyperaddition x (+) y = x . v(x^-1 y) of a one row v.
 
     inv[x] is the inverse of x != 0, and smul[x][keys[z]] is x . v(z).  The
-    kernel keys v(z) by its mask, _row_scalars() by an index.  Returns fresh
-    lists.
+    kernel keys v(z) by its mask, _row_scalars() by an index.  Returns the
+    rows as candidates hold them, a tuple of tuples.
     """
-    hyperadd = [[1 << y for y in range(n)]]
+    hyperadd = [tuple([1 << y for y in range(n)])]
     for x in range(1, n):
         sx = smul[x]
-        hyperadd.append([1 << x] + [sx[keys[z]] for z in mul[inv[x]][1:]])  # z = x^-1 y
-    return hyperadd
+        hyperadd.append(tuple([1 << x] + [sx[keys[z]] for z in mul[inv[x]][1:]]))  # z = x^-1 y
+    return tuple(hyperadd)
 
 
-def _row_scalars(mul, v):
-    """(smul, keys) for _expand(): keys[z] indexes v(z) among the distinct
-    masks of v, and smul[x][k] is the k-th mask's image under x.  Images are
-    ORed a whole column of mul at a time.  O(n^2) on bounded cells."""
-    cols = [tuple(map((1).__lshift__, col)) for col in zip(*mul)]  # cols[w][x] = {x . w}
+def _row_scalars(cols, v):
+    """(smul, keys) for _expand(), given the columns of mul: keys[z] indexes
+    v(z) among the distinct masks of v, and smul[x][k] is the k-th mask's
+    image under x.  Images are ORed a whole column of mul at a time.  O(n^2)
+    on bounded cells."""
+    cols = [tuple(map((1).__lshift__, col)) for col in cols]  # cols[w][x] = {x . w}
     members = _members((v,))
     index = {m: k for k, m in enumerate(members)}
     images = [reduce(_or_rows, map(cols.__getitem__, bits)) for bits in members.values()]
@@ -871,8 +871,7 @@ def expand_one_row(mul_table, nu: OneRowMap) -> HyperfieldCandidate:
     inv = inverses(n, mul)
     if any(inv[x] == 0 for x in range(1, n)):
         raise StructuralError("nonzero part of mul_table is not a group")
-    hyperadd = _expand(n, mul, inv, *_row_scalars(mul, nu.masks))
-    return HyperfieldCandidate(n, tuple(map(tuple, hyperadd)), mul)
+    return HyperfieldCandidate(n, _expand(n, mul, inv, *_row_scalars(zip(*mul), nu.masks)), mul)
 
 
 @dataclass(frozen=True)

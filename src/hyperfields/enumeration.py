@@ -274,7 +274,7 @@ def _run_shard(args):
                 break
             scanned += 1
             if _least(masks, keys, rivals) and ch1_violation(pair, masks) is None:
-                survivors.append((tuple(map(tuple, _expand(n, mul, inv, smul, masks))), mul))
+                survivors.append((_expand(n, mul, inv, smul, masks), mul))
         else:
             d -= 1
     return scanned, survivors, False

@@ -15,6 +15,7 @@ from hyperfields import (
     hyper_sum_sets,
     massouros,
     opposite,
+    pair_hyperfield,
     product_candidate,
     quotient,
     relabel,
@@ -43,6 +44,32 @@ class TestElementSet:
             ElementSet(3, 1 << 3)
         with pytest.raises(StructuralError):
             ElementSet.from_indices(3, (3,))
+
+
+class TestCandidateRows:
+    """A candidate holds both tables as tuples of tuples, whatever rows it
+    is built from."""
+
+    def listed(self, c):
+        return [list(row) for row in c.hyperadd], [list(row) for row in c.mul]
+
+    def test_list_rows_are_held_as_tuples(self):
+        c = pair_hyperfield(4).candidate
+        twin = HyperfieldCandidate(c.n, *self.listed(c))
+        for table in (twin.hyperadd, twin.mul):
+            assert type(table) is tuple and all(type(row) is tuple for row in table)
+        assert twin == c and hash(twin) == hash(c)
+        assert twin == HyperfieldCandidate.from_sets(
+            c.n, [[c.cell(x, y) for y in range(c.n)] for x in range(c.n)], c.mul)
+
+    def test_verified_value_is_untouched_by_edits_to_its_lists(self):
+        c = pair_hyperfield(4).candidate
+        hyperadd, mul = self.listed(c)
+        h = verified(HyperfieldCandidate(c.n, hyperadd, mul))
+        hyperadd[2][3] = 1
+        mul[2][3] = 0
+        assert verify(h.candidate).ok
+        assert h.candidate == c
 
 
 class TestHyperSum:
@@ -169,7 +196,7 @@ class TestVerify:
         assert max(calls[name] for name in facts) == 1
         if failing:
             assert [calls[code] for code, _ in core.AXIOM_CHECKS] == [1] * 10
-            assert {"suspects", "leaders", "asymmetry"} <= set(calls)
+            assert {"suspects", "leaders"} <= set(calls)
         else:
             assert [calls[code] for code, _ in core.AXIOM_CHECKS] == [0] * 10
             assert calls["suspects"] == 1 and "leaders" not in calls

@@ -256,7 +256,7 @@ def flat_shard(shard):
     scanned, survivors, ch5_rejects, ch1_rejects = 0, [], 0, 0
     for v in shard_maps(shard):
         scanned += 1
-        smul, keys = core._row_scalars(mul, v)
+        smul, keys = core._row_scalars(tuple(zip(*mul)), v)
         hyperadd = core._expand(n, mul, inv, smul, keys)
         table = core._Table(n, hyperadd, mul)
         table.suspects = (1 << n) - 1  # the scans visit every y, trusting no theorem on E
@@ -554,7 +554,7 @@ class TestBudget:
             enumerate_hyperfields(6, SearchOptions(budget_seconds=4.5))
         assert err.value.scanned == scanned
 
-    def test_checked_before_dedup(self, clock, monkeypatch):
+    def test_checked_after_survivor_verification(self, clock, monkeypatch):
         verify_survivor = enumeration.verified
 
         def verify_then_expire(c):

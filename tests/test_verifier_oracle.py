@@ -1,24 +1,24 @@
-"""Slow oracles for the verifier: its four cubic axioms, CH1, CH5, KR1 and
-KR3, and the theorems its deciders apply.
+"""Slow oracles for the verifier: all ten axioms, and the theorems its
+deciders apply.
 
-The package decides the four axioms by theorems that skip most of the
-work: Light's test for KR1, composition of certified multiplications for
-KR3, and one x per automorphism orbit for CH1 and CH5; what is left is
+The package decides the four cubic axioms by theorems that skip most of
+the work: Light's test for KR1, composition of certified multiplications
+for KR3, and one x per automorphism orbit for CH1 and CH5; what is left is
 scanned a whole row over z at a time through per-x memo tables.  The
-oracles below are the axiom definitions written as literal triple loops
-over plain Python sets: no caches, no bitmask helpers and nothing imported
-from the package's core.  Both must name the same lexicographically first
-witness and the same reason, or both must pass.
+oracles below are the axiom definitions written as literal loops over
+plain Python sets, triple loops for the cubic ones: no caches, no bitmask
+helpers and nothing imported from the package's core.  Both must name the
+same lexicographically first witness and the same reason, or both must
+pass.
 
 Each decider applies its theorem first: Light's test for KR1, and for
 CH1, CH5 and KR3 the suspect rows, where the table leaves the expansion E
 of its own row 1 while E is a hyperfield (every row where it is not): a
 table passes all ten exactly when it has no suspects, and then verify()
-runs no check.  Every input here checks that verify() returns
-exactly the report of the oracles and the six O(n^2) checks.  Light's test
-and the suspects are also checked on their own against the oracles of the
-axioms they prove, because a whole report can hide a wrong step behind
-another axiom's failure.
+runs no check.  Every input here checks that verify() returns exactly the
+report of the ten oracles.  Light's test and the suspects are also checked
+on their own against the oracles of the axioms they prove, because a whole
+report can hide a wrong step behind another axiom's failure.
 """
 
 from __future__ import annotations
@@ -119,15 +119,78 @@ def kr3_oracle(n, hyperadd, mul):
     return None
 
 
-ORACLES = {"CH1": ch1_oracle, "CH5": ch5_oracle, "KR1": kr1_oracle, "KR3": kr3_oracle}
+def ch2_oracle(n, hyperadd, mul):
+    """x (+) y == y (+) x for every x, y."""
+    for x in range(n):
+        for y in range(n):
+            if members(n, hyperadd[x][y]) != members(n, hyperadd[y][x]):
+                return (x, y), "sum not symmetric"
+    return None
+
+
+def ch3_oracle(n, hyperadd, mul):
+    """0 (+) x == {x} for every x."""
+    for x in range(n):
+        if members(n, hyperadd[0][x]) != {x}:
+            return (x,), "zero row not scalar identity"
+    return None
+
+
+def ch4_oracle(n, hyperadd, mul):
+    """Each x has exactly one y with 0 in x (+) y; the witness of several
+    names the first two."""
+    for x in range(n):
+        found = [y for y in range(n) if 0 in members(n, hyperadd[x][y])]
+        if not found:
+            return (x,), "no opposite"
+        if len(found) > 1:
+            return (x, found[0], found[1]), "multiple opposites"
+    return None
+
+
+def kr2_oracle(n, hyperadd, mul):
+    """x.0 == 0.x == 0 for every x."""
+    for x in range(n):
+        if mul[x][0] != 0 or mul[0][x] != 0:
+            return (x,), "zero not absorbing"
+    return None
+
+
+def hf1_oracle(n, hyperadd, mul):
+    """x.y == y.x for every x, y, then 1.y == y for every y."""
+    for x in range(n):
+        for y in range(n):
+            if mul[x][y] != mul[y][x]:
+                return (x, y), "multiplication not commutative"
+    for y in range(n):
+        if mul[1][y] != y:
+            return (y,), "one not identity"
+    return None
+
+
+def hf2_oracle(n, hyperadd, mul):
+    """x.y != 0 for every x, y != 0, then each x != 0 has a y != 0 with
+    x.y == 1."""
+    for x in range(1, n):
+        for y in range(1, n):
+            if mul[x][y] == 0:
+                return (x, y), "zero divisor"
+    for x in range(1, n):
+        if all(mul[x][y] != 1 for y in range(1, n)):
+            return (x,), "no multiplicative inverse"
+    return None
+
+
+ORACLES = {"CH1": ch1_oracle, "CH2": ch2_oracle, "CH3": ch3_oracle, "CH4": ch4_oracle,
+           "CH5": ch5_oracle, "KR1": kr1_oracle, "KR2": kr2_oracle, "KR3": kr3_oracle,
+           "HF1": hf1_oracle, "HF2": hf2_oracle}
 
 
 def exhaustive_report(c):
-    """The report of the six O(n^2) checks and the four oracles."""
-    table = core._Table(c.n, c.hyperadd, c.mul)
+    """The report of the ten oracles, in verify()'s order of the axioms."""
     results = []
-    for axiom, check in core.AXIOM_CHECKS:
-        hit = ORACLES[axiom](c.n, c.hyperadd, c.mul) if axiom in ORACLES else check(table)
+    for axiom, _ in core.AXIOM_CHECKS:
+        hit = ORACLES[axiom](c.n, c.hyperadd, c.mul)
         results.append(AxiomResult(axiom, True) if hit is None
                        else AxiomResult(axiom, False, *hit))
     return AxiomReport(tuple(results))
@@ -323,7 +386,7 @@ def test_corruptions_that_leave_no_hyperfield_expansion_have_no_suspects():
         table = core._Table(bad.n, bad.hyperadd, bad.mul)
         assert table.suspects == every_row(bad.n)
         assert not assert_matches_oracles(bad).ok
-    assert table.expansion == list(map(list, e.hyperadd))
+    assert table.expansion == e.hyperadd
 
 
 def seeded_corruptions(c, rng):
@@ -629,7 +692,7 @@ def test_lights_test_decides_kr1_on_products(a, b):
 
 def passes_exactly_without_suspects(c):
     """verify(c) passes exactly where c has no suspect rows, and a pass is
-    the report of the oracles and the six O(n^2) checks."""
+    the report of the ten oracles."""
     report = verify(c)
     assert report.ok == (core._Table(c.n, c.hyperadd, c.mul).suspects == 0)
     if report.ok:
@@ -685,7 +748,7 @@ def null_magma(n, cells=()):
 
 
 @pytest.mark.parametrize("cells", [(), (((6, 7), 6),)], ids=["associative", "6.7=6"])
-def test_kr1_scans_where_the_generators_exceed_the_bound(cells):
+def test_lights_test_decides_the_null_magma(cells):
     """With more greedy generators than a group of order n-1 can have,
     Light's test still decides, as it takes every one: it proves the null
     magma associative, and with 6.7 = 6 it fails at 7, the last generator,
@@ -741,11 +804,36 @@ def test_expansions_the_certificate_must_refuse(mul):
     for _ in range(30):
         zstar = rng.randrange(1, n)
         v = (2, *(rng.randrange(2, 1 << n, 2) | (z == zstar) for z in range(1, n)))
-        hyperadd = core._expand(n, mul, core.inverses(n, mul), *core._row_scalars(mul, v))
+        hyperadd = core._expand(n, mul, core.inverses(n, mul),
+                                *core._row_scalars(tuple(zip(*mul)), v))
         c = HyperfieldCandidate(n, tuple(map(tuple, hyperadd)), mul)
         table = core._Table(n, c.hyperadd, c.mul)
         assert table.associative and table.suspects == every_row(n)
         assert not assert_matches_oracles(c)["KR3"].passed
+
+
+def test_expand_one_row_scales_by_left_multiplication_over_s3():
+    """Over S3, which is not commutative, every cell of expand_one_row's
+    table is x (+) y = the union of x.w over w in v(x^-1 y) for x != 0, and
+    0 (+) y = {y}, by loops over the group table.  Some cell differs from
+    the union of w.x, so columns read for rows would not pass."""
+    mul = symmetric_group_with_zero()
+    n = len(mul)
+    rng = random.Random("S3 rows")
+    sides_differ = False
+    for _ in range(40):
+        zstar = rng.randrange(1, n)
+        v = (2, *(rng.randrange(2, 1 << n, 2) | (z == zstar) for z in range(1, n)))
+        hyperadd = expand_one_row(mul, OneRowMap(n, v)).hyperadd
+        for y in range(n):
+            assert members(n, hyperadd[0][y]) == {y}
+        for x in range(1, n):
+            x_inv = next(w for w in range(1, n) if mul[x][w] == 1)
+            for y in range(n):
+                scaled = members(n, v[mul[x_inv][y]])
+                assert members(n, hyperadd[x][y]) == {mul[x][w] for w in scaled}, (v, x, y)
+                sides_differ |= {mul[x][w] for w in scaled} != {mul[w][x] for w in scaled}
+    assert sides_differ
 
 
 @pytest.mark.parametrize("h", [massouros(gf(2, 5)), pair_hyperfield(20),

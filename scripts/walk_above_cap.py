@@ -2,17 +2,17 @@
 """Time the enumeration walk at orders above the enumeration cap.
 
 For each order (default 7, 8 and 9; at most 10) it raises
-enumeration.MAX_ENUM_ORDER to that order, and enumeration.MAX_GROUP_ORDER
-to n - 1 where the groups need it, in this process, and runs
-enumerate_hyperfields once in one process, with enumeration._run_shard
-wrapped to count and time the shards it walks.  It prints one row per
-order: the maps the walk decides, its survivors, the walk seconds (spent
-in _run_shard), the classes and the seconds of the whole enumeration, so
-total_s - walk_s is shard set-up plus survivor verification.  Every
-survivor is the least map of its orbit, so survivors and classes agree.
-Orders 7-9 take about 1.7 s in all and 27 MB, and order 10 13-16 s (walk
-8-10 s) and 83 MB, on a 2-core Xeon VM under CPython 3.11; total_s - walk_s
-reads 0.53-0.58 s at order 9 and 5.2-5.9 s at order 10.
+enumeration.MAX_ENUM_ORDER, the one enumeration cap, to that order in this
+process, and runs enumerate_hyperfields once in one process, with
+enumeration._run_shard wrapped to count and time the shards it walks.  It
+prints one row per order: the maps the walk decides, its survivors, the
+walk seconds (spent in _run_shard), the classes and the seconds of the
+whole enumeration, so total_s - walk_s is shard set-up plus survivor
+verification.  Every survivor is the least map of its orbit, so survivors
+and classes agree.  Orders 7-9 take about 1.7 s in all and 27 MB, and
+order 10 13-16 s (walk 8-10 s) and 83 MB, on a 2-core Xeon VM under
+CPython 3.11; total_s - walk_s reads 0.53-0.58 s at order 9 and 5.2-5.9 s
+at order 10.
 
     PYTHONPATH=src python3 scripts/walk_above_cap.py [--orders 7 8 9]
 """
@@ -53,14 +53,13 @@ def main():
     ap.add_argument("--orders", type=int, nargs="+", default=[7, 8, 9], choices=range(2, 11))
     args = ap.parse_args()
     print("order             maps  survivors   walk_s  classes  total_s")
-    cap, group_cap = enumeration.MAX_ENUM_ORDER, enumeration.MAX_GROUP_ORDER
+    cap = enumeration.MAX_ENUM_ORDER
     for n in args.orders:
         enumeration.MAX_ENUM_ORDER = max(cap, n)
-        enumeration.MAX_GROUP_ORDER = max(group_cap, n - 1)
         try:
             maps, survivors, walk_s, classes, total_s = enumerate_timed(n)
         finally:
-            enumeration.MAX_ENUM_ORDER, enumeration.MAX_GROUP_ORDER = cap, group_cap
+            enumeration.MAX_ENUM_ORDER = cap
         print(f"{n:>5}  {maps:>15,}  {survivors:>9,}  {walk_s:>7.2f}  {classes:>7,}  {total_s:>7.2f}")
 
 

@@ -119,23 +119,19 @@ class HyperfieldCandidate:
 
 
 def validate_candidate(c: HyperfieldCandidate) -> None:
-    """Raise StructuralError unless the tables are well-formed."""
+    """Raise StructuralError unless the tables are n x n of ints in range."""
     n = c.n
     if n < 2:
         raise StructuralError("carrier must have at least 2 elements")
-    if len(c.hyperadd) != n or len(c.mul) != n:
+    if len(c.hyperadd) != n or len(c.mul) != n or any(len(row) != n for row in c.hyperadd + c.mul):
         raise StructuralError("tables must be n x n")
     full = 1 << n
     for row in c.hyperadd:
-        if len(row) != n:
-            raise StructuralError("tables must be n x n")
         for m in row:
-            if not 0 < m < full:
+            if type(m) is not int or not 0 < m < full:
                 raise StructuralError("hyperaddition cell empty or out of range")
     for row in c.mul:
-        if len(row) != n:
-            raise StructuralError("tables must be n x n")
-        if any(not 0 <= v < n for v in row):
+        if any(type(v) is not int or not 0 <= v < n for v in row):
             raise StructuralError("multiplication entry out of range")
 
 
@@ -217,15 +213,12 @@ def element_orders(n, mul) -> list[int]:
     return orders
 
 
-def span(mul, gens) -> list[int]:
-    """The subgroup generated by gens, in breadth-first order from 1 along
-    right multiplication by each generator.  In a finite group, products of
-    the generators already include their inverses."""
-    found = [1]
-    seen = {1}
-    for a in found:  # found grows while it is walked
+def _grow(mul, found, seen, gens, old):
+    """Close found (seen is its set) under right multiplication by gens, where its first
+    old are closed under all but the last: each element meets each generator once."""
+    for i, a in enumerate(found):  # found grows while it is walked
         row = mul[a]
-        for g in gens:
+        for g in gens if i >= old else gens[-1:]:
             b = row[g]
             if b not in seen:
                 seen.add(b)
@@ -233,17 +226,23 @@ def span(mul, gens) -> list[int]:
     return found
 
 
+def span(mul, gens) -> list[int]:
+    """The subgroup generated by gens, in breadth-first order from 1 along
+    right multiplication by each generator.  In a finite group, products of
+    the generators already include their inverses."""
+    return _grow(mul, [1], {1}, gens, 0)
+
+
 def greedy_generators(n, mul) -> Iterator[int]:
     """Each x in 2..n-1 that lies outside the span of the ones yielded before
     it.  In a group every one at least doubles the span, so a group of order
-    n-1 has fewer than (n-1).bit_length() of them."""
-    gens: list[int] = []
-    reached = {1}
+    n-1 has fewer than (n-1).bit_length() of them; the span grows from each."""
+    gens, reached, seen = [], [1], {1}
     for x in range(2, n):
-        if x not in reached:
+        if x not in seen:
             gens.append(x)
             yield x
-            reached = set(span(mul, gens))
+            _grow(mul, reached, seen, gens, len(reached))
 
 
 def group_isomorphisms(n, mul1, mul2, colours=None) -> Iterator[tuple[int, ...]]:
@@ -849,8 +848,7 @@ class OneRowMap:
             raise StructuralError("one-row map must cover the whole carrier")
         if self.masks[0] != 1 << 1:
             raise StructuralError("1(+)0 must be {1}")
-        full = 1 << n
-        if any(not 0 < m < full for m in self.masks):
+        if any(type(m) is not int or not 0 < m < 1 << n for m in self.masks):
             raise StructuralError("row value empty or out of range")
         if sum(self.masks[z] & 1 for z in range(1, n)) != 1:
             raise StructuralError("exactly one nonzero z may have 0 in v(z)")
@@ -972,4 +970,4 @@ def relabel(c: HyperfieldCandidate, perm: tuple[int, ...]) -> HyperfieldCandidat
     carry = _images(_members(c.hyperadd), [1 << p for p in perm]).__getitem__
     hyperadd = (map(carry, map(c.hyperadd[a].__getitem__, back)) for a in back)
     mul = (map(perm.__getitem__, map(c.mul[a].__getitem__, back)) for a in back)
-    return HyperfieldCandidate(n, tuple(map(tuple, hyperadd)), tuple(map(tuple, mul)))
+    return HyperfieldCandidate(n, hyperadd, mul)

@@ -77,7 +77,6 @@ from .galois import abelian_group_orders, abelian_group_tables
 from .iso import are_isomorphic, fingerprint  # unused here: bound for bench/spans.py alone
 
 MAX_ENUM_ORDER = 6
-MAX_GROUP_ORDER = 8
 _BUDGET_STRIDE = 256
 
 
@@ -89,10 +88,10 @@ class SearchOptions:
 
 
 def abelian_groups(m: int) -> list[tuple[tuple[int, ...], ...]]:
-    """galois.abelian_group_tables(m), as a new list, for the group orders
-    enumeration supports."""
-    if not 1 <= m <= MAX_GROUP_ORDER:
-        raise CapacityError(f"group order must be in 1..{MAX_GROUP_ORDER}")
+    """galois.abelian_group_tables(m), as a new list, for any m >= 1: one
+    (m+1) x (m+1) table per group, built once per m."""
+    if m < 1:
+        raise CapacityError(f"group order must be at least 1, got {m}")
     return list(abelian_group_tables(m))
 
 
@@ -319,7 +318,8 @@ def enumerate_hyperfields(n: int, options: Optional[SearchOptions] = None) -> li
     start = time.monotonic()
     deadline = start + budget if budget is not None else None
     # The groups in fingerprint order; within one, the shards come in key order.
-    groups = [mul for _, mul in sorted(zip(abelian_group_orders(n - 1), abelian_groups(n - 1)))]
+    groups = [mul for _, mul in sorted(zip(abelian_group_orders(n - 1),
+                                           abelian_group_tables(n - 1)))]
     shards = _shards(n, groups, deadline)
 
     scanned, survivors, timed_out, last_report = 0, [], False, 0

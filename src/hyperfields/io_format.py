@@ -12,20 +12,20 @@ Wire format: a single JSON document, version 1,
     }
 
 Hyperaddition cells are sorted index arrays (human-diffable archives beat
-compactness at this scale); to_document() and pretty_table() decode each
-distinct cell mask once through core._members.  The parser enforces
-structure only -- shape, index ranges, nonempty sorted cells, and the
-normalization that zero behaves as index 0 and one as index 1; axiom
-checking stays on demand.  Each distinct cell is checked and converted once.
-render_document() emits one canonical byte form, so parse-then-render is
-the identity on rendered files.
+compactness at this scale); a document holds only a candidate's mask rows,
+and render_document(), pretty_table() and doc.hyperadd decode each distinct
+mask once through core._members.  The parser enforces structure only --
+shape, index ranges, nonempty sorted cells, and the normalization that zero
+is index 0 and one index 1; axiom checking stays on demand.  Each distinct
+cell is checked and converted once.  render_document() emits one canonical
+byte form, so parse-then-render is the identity on rendered files.
 """
 
 from __future__ import annotations
 
 import json
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from operator import itemgetter, lt
 from typing import Optional
@@ -64,10 +64,15 @@ class HyperfieldDocument:
     version: int
     order: int
     mul: tuple[tuple[int, ...], ...]
-    hyperadd: tuple[tuple[tuple[int, ...], ...], ...]
-    masks: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)  # hyperadd as bitmasks
+    masks: tuple[tuple[int, ...], ...]  # the hyperaddition, as a candidate holds it
     labels: Optional[tuple[str, ...]] = None
     metadata: Optional[str] = None
+
+    @property
+    def hyperadd(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The cells as sorted index tuples, each distinct mask decoded once."""
+        cells = _members(self.masks).__getitem__
+        return tuple(tuple(map(cells, row)) for row in self.masks)
 
 
 def default_labels(n: int) -> tuple[str, ...]:
@@ -91,9 +96,7 @@ def _with_labels(c, labels):
 def to_document(c, labels=None, metadata: Optional[str] = None) -> HyperfieldDocument:
     """Snapshot a candidate or verified hyperfield as a document."""
     c, labels = _with_labels(c, labels)
-    cells = _members(c.hyperadd).__getitem__
-    hyperadd = tuple(tuple(map(cells, row)) for row in c.hyperadd)
-    return HyperfieldDocument(FORMAT_VERSION, c.n, c.mul, hyperadd, c.hyperadd, labels, metadata)
+    return HyperfieldDocument(FORMAT_VERSION, c.n, c.mul, c.hyperadd, labels, metadata)
 
 
 def candidate_from_document(doc: HyperfieldDocument) -> HyperfieldCandidate:
@@ -193,12 +196,12 @@ def parse_document(text) -> HyperfieldDocument:
         raise ParseError("hyperadd must be an array of arrays")
     if len(hyperadd) != n or any(len(r) != n for r in hyperadd):
         raise ValidationError(f"hyperadd must be {n}x{n}", code="dimensions")
-    cells, masks = _cells_and_masks(hyperadd, n)
+    masks = _masks(hyperadd, n)
 
     # Index normalization: reject rather than relabel, so 0 and 1 sit at
     # indices 0 and 1 in every stored table, as the verifier expects.
     for y in range(n):
-        if cells[0][y] != (y,):
+        if masks[0][y] != 1 << y:
             raise ValidationError(
                 f"zero must be index 0: hyperadd[0][{y}] != [{y}]",
                 code="identity-misplaced")
@@ -207,11 +210,11 @@ def parse_document(text) -> HyperfieldDocument:
                 f"one must be index 1: mul[1][{y}] != {y}",
                 code="identity-misplaced")
 
-    return HyperfieldDocument(version, n, tuple(map(tuple, mul)), cells, masks, labels, metadata)
+    return HyperfieldDocument(version, n, tuple(map(tuple, mul)), masks, labels, metadata)
 
 
-def _cells_and_masks(hyperadd, n):
-    """(cells as tuples, masks) of a hyperaddition table.  Types are tested on
+def _masks(hyperadd, n):
+    """The masks of a hyperaddition table's cells.  Types are tested on
     every element, as (True,) == (1,) would hide a bool among distinct cells;
     the rest once per distinct cell, at C level.  Laid end to end, the elements
     ascend in every cell iff the ascents not across cells number len(flat) - len(distinct)."""
@@ -226,7 +229,7 @@ def _cells_and_masks(hyperadd, n):
             if ascents == len(flat) - len(distinct):
                 pow2 = [1 << i for i in range(n)]  # after the range test: pow2[-1] wraps
                 mask = dict(zip(distinct, map(sum, map(map, repeat(pow2.__getitem__), distinct))))
-                return cells, tuple(tuple(map(mask.__getitem__, row)) for row in cells)
+                return tuple(tuple(map(mask.__getitem__, row)) for row in cells)
     for i, row in enumerate(hyperadd):  # some cell breaks a rule: find the first
         for j, cell in enumerate(row):
             if not isinstance(cell, list):

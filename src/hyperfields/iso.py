@@ -77,8 +77,7 @@ def is_isomorphism(c1, c2, perm) -> bool:
     if c2.n != n or sorted(perm) != list(range(n)):
         return False
     image = relabel(c1, perm)
-    return (image.hyperadd == tuple(map(tuple, c2.hyperadd))
-            and image.mul == tuple(map(tuple, c2.mul)))
+    return image.hyperadd == c2.hyperadd and image.mul == c2.mul
 
 
 def are_isomorphic(h1: Hyperfield, h2: Hyperfield) -> Optional[IsoWitness]:

@@ -237,6 +237,32 @@ class TestVerify:
             with pytest.raises(StructuralError):
                 verify(HyperfieldCandidate(2, hyperadd, mul))
 
+    @pytest.mark.parametrize("table, cells", [
+        ("hyperadd", {(2, 2): 7.0}),
+        ("hyperadd", {(1, 1): 7.0, (2, 2): 7.0}),
+        ("hyperadd", {(0, 0): True}),
+        ("mul", {(2, 2): 2.0}),
+        ("mul", {(1, 1): True}),
+    ])
+    def test_entries_that_are_not_ints_are_rejected(self, table, cells):
+        """Every entry must be an int, as a document's are: an equal float or
+        bool is refused with the out-of-range message, never a TypeError."""
+        c = pair_hyperfield(3).candidate
+        rows = {"hyperadd": list(map(list, c.hyperadd)), "mul": list(map(list, c.mul))}
+        for (x, y), value in cells.items():
+            rows[table][x][y] = value
+        bad = HyperfieldCandidate(3, rows["hyperadd"], rows["mul"])
+        message = ("hyperaddition cell empty or out of range" if table == "hyperadd"
+                   else "multiplication entry out of range")
+        for call in (verify, verified):
+            with pytest.raises(StructuralError, match=message):
+                call(bad)
+
+    def test_one_row_map_entries_must_be_ints(self):
+        for masks in ((2, 7.0, 3), (2, 4, True)):
+            with pytest.raises(StructuralError, match="row value empty or out of range"):
+                core.OneRowMap(3, masks)
+
     def test_report_is_deterministic(self, five_candidate):
         c = mutated_five({(1, 2): [1], (2, 1): [1]})
         assert verify(c) == verify(c)

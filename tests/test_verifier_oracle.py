@@ -763,6 +763,42 @@ def test_lights_test_decides_the_null_magma(cells):
     assert verify(c)["KR1"].witness == (None if not cells else (6, 7, 7))
 
 
+def rebuilt_generators(n, mul):
+    """The greedy generators by their definition: for each x, the span of the
+    generators so far is rebuilt from 1 along right multiplication, and x is
+    one exactly when it lies outside."""
+    gens = []
+    for x in range(2, n):
+        reached = {1}
+        walk = [1]
+        for a in walk:
+            for g in gens:
+                if mul[a][g] not in reached:
+                    reached.add(mul[a][g])
+                    walk.append(mul[a][g])
+        if x not in reached:
+            gens.append(x)
+    return gens
+
+
+def test_greedy_generators_match_the_rebuilt_span():
+    """core.greedy_generators grows the span from each new generator; its
+    sequence is that of the definition on every abelian group of order at
+    most 32, on S3, on null magmas, and on the order-64 products, whose
+    zero divisors make them no group."""
+    pair8 = pair_hyperfield(8)
+    quotients = [quotient(f, next(g for g in all_subgroups(f) if len(g.closure) == size))
+                 for f, size in ((gf(29), 4), (gf(43), 6), (gf(113), 16))]
+    tables = [mul for m in range(1, 33) for mul in abelian_groups(m)]
+    tables += [symmetric_group_with_zero(), null_magma(8), null_magma(8, (((6, 7), 6),)),
+               null_magma(40)]
+    tables += [product_candidate(pair8, h).mul for h in (pair8, *quotients)]
+    assert {len(mul) for mul in tables[-4:]} == {64}
+    for mul in tables:
+        n = len(mul)
+        assert list(core.greedy_generators(n, mul)) == rebuilt_generators(n, mul)
+
+
 @pytest.mark.parametrize("base", ["five", "massouros7", "pair6", "quotient9"])
 def test_scaling_identity_matches_kr3(base):
     """On every symmetric one-cell change of hyperadd that keeps CH3: the

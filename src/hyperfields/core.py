@@ -6,7 +6,7 @@ both tables as plain nested tuples of ints, whatever rows it is built from,
 which makes it hashable and cheap to compare, and lets every reader, the
 verifier and the enumeration kernel alike, take the rows as they are.
 
-Nothing is assumed about a candidate beyond table shape: the distinguished
+A candidate is a valid table by construction, and nothing more is assumed:
 zero (index 0) and one (index 1) earn their roles through verify(), which
 checks the canonical-hypergroup axioms CH1..CH5, the hyperring axioms
 KR1..KR3 and the hyperfield axioms HF1..HF2 on one view of the table.
@@ -50,6 +50,13 @@ def mask_of(indices: Iterable[int]) -> int:
     return m
 
 
+def _check_entries(rows, lo, hi, message) -> None:
+    """Raise StructuralError(message) unless every entry is an int in lo..hi-1."""
+    for v in chain.from_iterable(rows):
+        if type(v) is not int or not lo <= v < hi:
+            raise StructuralError(message)
+
+
 @dataclass(frozen=True)
 class ElementSet:
     """A subset of the carrier 0..n-1 held as a membership mask."""
@@ -60,14 +67,12 @@ class ElementSet:
     def __post_init__(self):
         if self.n < 1:
             raise StructuralError("carrier size must be >= 1")
-        if not 0 <= self.mask < (1 << self.n):
-            raise StructuralError("membership mask out of range")
+        _check_entries([[self.mask]], 0, 1 << self.n, "membership mask out of range")
 
     @classmethod
     def from_indices(cls, n: int, indices: Iterable[int]) -> "ElementSet":
         idx = tuple(indices)
-        if any(not 0 <= i < n for i in idx):
-            raise StructuralError("member index out of range")
+        _check_entries((idx,), 0, n, "member index out of range")
         return cls(n, mask_of(idx))
 
     @property
@@ -93,9 +98,10 @@ class HyperfieldCandidate:
 
     Both tables are held as tuples of tuples, whatever rows they are given,
     so a candidate is hashable, equals its twin built from other rows, and
-    keeps no reference to a caller's lists.  zero is index 0 and one is
-    index 1 by convention; neither role is presumed by the data structure
-    -- verify() establishes them.
+    keeps no reference to a caller's lists.  It is unverified, but always
+    valid: construction (and dataclasses.replace) raises StructuralError
+    unless n >= 2 and both tables are n x n, of int cells 0 < m < 2^n and
+    products in 0..n-1.  zero is index 0 and one index 1 by convention.
     """
 
     n: int
@@ -106,43 +112,37 @@ class HyperfieldCandidate:
     one = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "hyperadd", tuple(map(tuple, self.hyperadd)))
-        object.__setattr__(self, "mul", tuple(map(tuple, self.mul)))
+        n = self.n
+        if type(n) is not int or n < 2:
+            raise StructuralError("carrier must have at least 2 elements")
+        try:
+            hyperadd, mul = tuple(map(tuple, self.hyperadd)), tuple(map(tuple, self.mul))
+        except TypeError:  # rows that are not sequences
+            hyperadd = mul = ()
+        if len(hyperadd) != n or len(mul) != n or any(len(row) != n for row in hyperadd + mul):
+            raise StructuralError("tables must be n x n")
+        _check_entries(hyperadd, 1, 1 << n, "hyperaddition cell empty or out of range")
+        _check_entries(mul, 0, n, "multiplication entry out of range")
+        object.__setattr__(self, "hyperadd", hyperadd)
+        object.__setattr__(self, "mul", mul)
 
     @classmethod
     def from_sets(cls, n: int, hyperadd_cells, mul) -> "HyperfieldCandidate":
-        """Build from per-cell member collections instead of raw masks."""
-        return cls(n, [[mask_of(cell) for cell in row] for row in hyperadd_cells], mul)
+        """Build from per-cell member collections instead of raw masks.  The
+        rows are made as the candidate reads them, so its shape check
+        refuses a row or cell that is not a sequence."""
+        return cls(n, ([ElementSet.from_indices(n, cell).mask for cell in row]
+                       for row in hyperadd_cells), mul)
 
     def cell(self, a: int, b: int) -> tuple[int, ...]:
         return tuple(iter_bits(self.hyperadd[a][b]))
-
-
-def validate_candidate(c: HyperfieldCandidate) -> None:
-    """Raise StructuralError unless the tables are n x n of ints in range."""
-    n = c.n
-    if n < 2:
-        raise StructuralError("carrier must have at least 2 elements")
-    if len(c.hyperadd) != n or len(c.mul) != n or any(len(row) != n for row in c.hyperadd + c.mul):
-        raise StructuralError("tables must be n x n")
-    full = 1 << n
-    for row in c.hyperadd:
-        for m in row:
-            if type(m) is not int or not 0 < m < full:
-                raise StructuralError("hyperaddition cell empty or out of range")
-    for row in c.mul:
-        if any(type(v) is not int or not 0 <= v < n for v in row):
-            raise StructuralError("multiplication entry out of range")
 
 
 def hyper_sum(c: HyperfieldCandidate, a: int, b: int) -> ElementSet:
     """The hyperaddition value a (+) b."""
     if not (0 <= a < c.n and 0 <= b < c.n):
         raise StructuralError("element index out of range")
-    m = c.hyperadd[a][b]
-    if m == 0:
-        raise StructuralError(f"empty hyperaddition cell at ({a},{b})")
-    return ElementSet(c.n, m)
+    return ElementSet(c.n, c.hyperadd[a][b])
 
 
 def hyper_sum_sets(c: HyperfieldCandidate, a_set: ElementSet, b_set: ElementSet) -> ElementSet:
@@ -400,8 +400,8 @@ def _extensions(choices, along_edges, images, phi):
 # OR of the rows of its members.  Distributivity is one fact per map s,
 # the first (y, z) with s(y (+) z) != s(y) (+) s(z): _miss() scans each map
 # once into the table's misses dict, for KR3's laws and the orbit search
-# alike.  Cells must be nonempty, which validate_candidate() and the
-# enumeration kernel's expansion guarantee.
+# alike.  Cells are nonempty, as every HyperfieldCandidate's are and the
+# enumeration kernel's expansion guarantees.
 #
 # Cost on a hyperfield: Light's test compares n-2 rows of length n per greedy
 # generator, and a group of order n-1 has at most log2(n-1) of those (GF(2^k)
@@ -443,6 +443,13 @@ def _images(members, parts):
     empty mask -> 0).  With parts[w] = 1 << p[w] it carries masks along p."""
     get = parts.__getitem__
     return {m: reduce(or_, map(get, bits), 0) for m, bits in members.items()}
+
+
+def _carry(members, tau):
+    """Each mask of members -> its image under the bijection tau, carried
+    once.  Distinct members go to distinct bits, so their sum is their OR."""
+    bit = [1 << w for w in tau].__getitem__
+    return {m: sum(map(bit, bits)) for m, bits in members.items()}.__getitem__
 
 
 def _or_rows(a, b):
@@ -848,8 +855,7 @@ class OneRowMap:
             raise StructuralError("one-row map must cover the whole carrier")
         if self.masks[0] != 1 << 1:
             raise StructuralError("1(+)0 must be {1}")
-        if any(type(m) is not int or not 0 < m < 1 << n for m in self.masks):
-            raise StructuralError("row value empty or out of range")
+        _check_entries((self.masks,), 1, 1 << n, "row value empty or out of range")
         if sum(self.masks[z] & 1 for z in range(1, n)) != 1:
             raise StructuralError("exactly one nonzero z may have 0 in v(z)")
 
@@ -866,6 +872,7 @@ def expand_one_row(mul_table, nu: OneRowMap) -> HyperfieldCandidate:
     mul = tuple(tuple(row) for row in mul_table)
     if len(mul) != n or any(len(r) != n for r in mul):
         raise StructuralError("multiplication table must be n x n")
+    _check_entries(mul, 0, n, "multiplication entry out of range")  # as a candidate's
     inv = inverses(n, mul)
     if any(inv[x] == 0 for x in range(1, n)):
         raise StructuralError("nonzero part of mul_table is not a group")
@@ -902,7 +909,7 @@ _PASSED = AxiomReport(tuple(AxiomResult(code, True) for code, _ in AXIOM_CHECKS)
 
 
 def verify(c: HyperfieldCandidate) -> AxiomReport:
-    """Check all ten hyperfield axioms; never fail-fast.
+    """Check all ten hyperfield axioms of a table valid as built; never fail-fast.
 
     c passes exactly when it has no suspect rows: rows where it leaves the
     expansion E of its own row 1 while E is a hyperfield, else every row.
@@ -915,7 +922,6 @@ def verify(c: HyperfieldCandidate) -> AxiomReport:
     hyperaddition cells off one fails in O(n^2 log n); one whose row 1 or
     multiplication breaks the automorphisms can cost O(n^3).
     """
-    validate_candidate(c)
     t = _Table(c.n, c.hyperadd, c.mul)
     if not t.suspects:
         return _PASSED
@@ -967,7 +973,7 @@ def relabel(c: HyperfieldCandidate, perm: tuple[int, ...]) -> HyperfieldCandidat
     if len(perm) != n or sorted(perm) != list(range(n)):
         raise DomainError("perm must be a bijection on 0..n-1")
     back = sorted(range(n), key=perm.__getitem__)  # perm^-1
-    carry = _images(_members(c.hyperadd), [1 << p for p in perm]).__getitem__
+    carry = _carry(_members(c.hyperadd), perm)
     hyperadd = (map(carry, map(c.hyperadd[a].__getitem__, back)) for a in back)
     mul = (map(perm.__getitem__, map(c.mul[a].__getitem__, back)) for a in back)
     return HyperfieldCandidate(n, hyperadd, mul)

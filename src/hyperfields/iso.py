@@ -10,7 +10,7 @@ come from core.group_isomorphisms in lexicographic order: the greedy
 generators are the smallest elements outside the span of the earlier ones,
 and their images are tried in ascending order; are_isomorphic passes the
 cell sizes of row 1 as colours, so only maps that keep them are tried.
-Masks are decoded by core._members and carried by _carry, each distinct
+Masks are decoded by core._members and carried by core._carry, each distinct
 mask once: fingerprint and are_isomorphic decode row 1 once per call, and
 is_isomorphism compares core.relabel's image with the second table.
 """
@@ -22,6 +22,7 @@ from typing import Optional
 
 from .core import (
     Hyperfield,
+    _carry,
     _members,
     element_orders,
     group_isomorphisms,
@@ -31,13 +32,6 @@ from .core import (
     slot_keys,
 )
 from .galois import abelian_group_orders, abelian_group_tables
-
-
-def _carry(members, tau):
-    """Each mask of members -> its image under the bijection tau, carried
-    once.  Distinct members go to distinct bits, so their sum is their OR."""
-    bit = [1 << w for w in tau].__getitem__
-    return {m: sum(map(bit, bits)) for m, bits in members.items()}.__getitem__
 
 
 def fingerprint(h: Hyperfield) -> tuple:
@@ -71,8 +65,8 @@ class IsoWitness:
 def is_isomorphism(c1, c2, perm) -> bool:
     """Is perm a bijection on 0..n-1 that preserves both tables?  Accepts
     candidates or hyperfields, and compares relabel(c1, perm) with c2.  It
-    serves candidates that are not verified: are_isomorphic reads row 1
-    alone.  bench/spans.py wraps it."""
+    serves candidates, unverified but always valid: are_isomorphic reads
+    row 1 alone.  bench/spans.py wraps it."""
     n = c1.n
     if c2.n != n or sorted(perm) != list(range(n)):
         return False

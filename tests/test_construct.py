@@ -251,6 +251,24 @@ class TestExistenceSweep:
             for n in range(2, MAX_SYNTH_ORDER + 1)]
 
 
+def test_product_axiom_report_shows_the_zero_divisor(capsys):
+    """scripts/product_axiom_report.py: the order-2 x order-3 product fails
+    HF2 alone, at a pair of nonzero elements whose product is 0, and the
+    pair(6) tables follow."""
+    load_script("product_axiom_report").main()
+    lines = capsys.readouterr().out.splitlines()
+    fails = [line for line in lines if "FAIL" in line]
+    assert len(fails) == 1 and fails[0].lstrip().startswith("HF2 ")
+    witness = fails[0].split("witness=(")[1].split(")")[0]
+    x, y = map(int, witness.split(", "))
+    c = product_candidate(massouros(gf(2)), massouros(gf(3)))
+    assert x and y and c.mul[x][y] == 0
+    assert fails[0].endswith("(zero divisor)")
+    assert "overall: fail" in lines
+    grid = [[part.strip() for part in line.split("|")] for line in lines]
+    assert ["⊕", "0", "1", "a", "b", "c", "d"] in grid  # the pair(6) tables
+
+
 def cells(h):
     """The hyperaddition of h as sets of element indices, read bit by bit."""
     return [[{w for w in range(h.n) if m >> w & 1} for m in row] for row in h.hyperadd]

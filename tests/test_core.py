@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 from itertools import product as iproduct
 
 import pytest
@@ -70,6 +71,85 @@ class TestCandidateRows:
         mul[2][3] = 0
         assert verify(h.candidate).ok
         assert h.candidate == c
+
+
+CELL_RULE = "hyperaddition cell empty or out of range"
+PRODUCT_RULE = "multiplication entry out of range"
+
+
+class TestCandidateIsAValidTable:
+    """A candidate is checked once, when it is built (dataclasses.replace
+    too), so no reader -- verify, relabel, to_document, pretty_table -- is
+    ever handed a malformed table."""
+
+    @pytest.mark.parametrize("table, value, message", [
+        ("hyperadd", 0, CELL_RULE),
+        ("hyperadd", 1 << 3, CELL_RULE),
+        ("hyperadd", 7.0, CELL_RULE),
+        ("hyperadd", True, CELL_RULE),
+        ("mul", 3, PRODUCT_RULE),
+        ("mul", 2.0, PRODUCT_RULE),
+        ("mul", True, PRODUCT_RULE),
+    ])
+    def test_entries_out_of_range_are_refused(self, table, value, message):
+        c = pair_hyperfield(3).candidate
+        rows = {"hyperadd": list(map(list, c.hyperadd)), "mul": list(map(list, c.mul))}
+        rows[table][2][1] = value
+        with pytest.raises(StructuralError, match=message):
+            HyperfieldCandidate(3, rows["hyperadd"], rows["mul"])
+        with pytest.raises(StructuralError, match=message):
+            replace(c, **{table: rows[table]})
+
+    @pytest.mark.parametrize("n, hyperadd, mul, message", [
+        (1, ((1,),), ((0,),), "carrier must have at least 2 elements"),
+        (2, ((1, 2), (2,)), ((0, 0), (0, 1)), "tables must be n x n"),
+        (2, ((1, 2),), ((0, 0), (0, 1)), "tables must be n x n"),
+        (2, (1, 2), ((0, 0), (0, 1)), "tables must be n x n"),
+        (2, ((1, 2), (2, 1)), None, "tables must be n x n"),
+    ], ids=["n=1", "ragged", "short", "rows-not-sequences", "no-table"])
+    def test_shapes_other_than_n_by_n_are_refused(self, n, hyperadd, mul, message):
+        with pytest.raises(StructuralError, match=message):
+            HyperfieldCandidate(n, hyperadd, mul)
+
+    @pytest.mark.parametrize("cells", [[[[0], [1]], 5], [[[0], [1]], [[1], 1]]],
+                             ids=["row", "cell"])
+    def test_from_sets_refuses_rows_and_cells_that_are_not_sequences(self, cells):
+        with pytest.raises(StructuralError, match="tables must be n x n"):
+            HyperfieldCandidate.from_sets(2, cells, [[0, 0], [0, 1]])
+
+    def test_a_cell_out_of_range_never_reaches_a_reader(self):
+        """This table once rendered to a document that parse_document
+        refused, and made pretty_table and relabel raise IndexError."""
+        with pytest.raises(StructuralError, match=CELL_RULE):
+            HyperfieldCandidate(2, ((1, 4), (2, 2)), ((0, 0), (0, 1)))
+
+
+# Each public constructor that takes members or products from a caller,
+# with where the bad value goes (n = 2) and the message it must give.
+# OneRowMap, which checked its entries already, is the control.
+MEMBER_RULE = "member index out of range"
+ENTRY_TAKERS = {
+    "from_sets": (lambda v: HyperfieldCandidate.from_sets(
+        2, [[[0], [1]], [[1], [0, v]]], [[0, 0], [0, 1]]), MEMBER_RULE),
+    "from_indices": (lambda v: ElementSet.from_indices(2, [1, v]), MEMBER_RULE),
+    "expand_one_row": (lambda v: core.expand_one_row(
+        [[0, 0], [0, v]], core.OneRowMap(2, (2, 1))), PRODUCT_RULE),
+    "candidate": (lambda v: HyperfieldCandidate(
+        2, ((1, 2), (2, 1)), ((0, 0), (0, v))), PRODUCT_RULE),
+    "OneRowMap": (lambda v: core.OneRowMap(2, (2, v)),
+                  "row value empty or out of range|exactly one nonzero z"),
+}
+
+
+@pytest.mark.parametrize("value", [1.0, True, -1, pytest.param(2, id="n"), "1", None])
+@pytest.mark.parametrize("constructor", ENTRY_TAKERS)
+def test_constructors_refuse_entries_that_are_not_ints_in_range(constructor, value):
+    """A float, bool, negative, too large, str or None entry gives
+    StructuralError with the rule's message, never TypeError or ValueError,
+    and is never accepted."""
+    build, message = ENTRY_TAKERS[constructor]
+    with pytest.raises(StructuralError, match=message):
+        build(value)
 
 
 class TestHyperSum:
@@ -246,17 +326,16 @@ class TestVerify:
     ])
     def test_entries_that_are_not_ints_are_rejected(self, table, cells):
         """Every entry must be an int, as a document's are: an equal float or
-        bool is refused with the out-of-range message, never a TypeError."""
+        bool is refused with the out-of-range message when the candidate is
+        built, never a TypeError."""
         c = pair_hyperfield(3).candidate
         rows = {"hyperadd": list(map(list, c.hyperadd)), "mul": list(map(list, c.mul))}
         for (x, y), value in cells.items():
             rows[table][x][y] = value
-        bad = HyperfieldCandidate(3, rows["hyperadd"], rows["mul"])
         message = ("hyperaddition cell empty or out of range" if table == "hyperadd"
                    else "multiplication entry out of range")
-        for call in (verify, verified):
-            with pytest.raises(StructuralError, match=message):
-                call(bad)
+        with pytest.raises(StructuralError, match=message):
+            HyperfieldCandidate(3, rows["hyperadd"], rows["mul"])
 
     def test_one_row_map_entries_must_be_ints(self):
         for masks in ((2, 7.0, 3), (2, 4, True)):

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hyperfields import (
     HyperfieldCandidate,
     PreconditionError,
+    StructuralError,
     abelian_groups,
     are_isomorphic,
     fingerprint,
@@ -220,12 +221,12 @@ def _inverse(perm):
     return tuple(back)
 
 
-# Tables that verify() rejects: cells robbed, grown or emptied on one side
-# only, and a mul cell rewritten.
+# Tables that verify() rejects: cells robbed or grown on one side only, a
+# zero-row cell grown (CH3), and a mul cell rewritten.
 UNVERIFIED = {
     "one-sided": _with_list_rows(mutated_five({(1, 2): [1]})),
     "grown-and-robbed": _with_list_rows(mutated_five({(2, 3): [0, 4], (4, 1): [2]})),
-    "empty-cell": _with_list_rows(mutated_five({(3, 3): []})),
+    "zero-row": _with_list_rows(mutated_five({(0, 3): [2, 3]})),
     "mul-cell": _with_list_rows(mutated_five({(1, 4): [0, 4]}), [((2, 3), 0)]),
 }
 # Bijections that move 0 and 1; all but the last are not involutions, so a
@@ -258,6 +259,12 @@ class TestRelabelAgainstOracle:
         back = _inverse(perm)
         assert relabel(moved, back).hyperadd == tuple(map(tuple, c.hyperadd))
         assert is_isomorphism(moved, c, back)
+
+    def test_a_table_with_an_empty_cell_is_no_candidate(self):
+        """relabel is never handed an empty cell: the table is refused when
+        it is built."""
+        with pytest.raises(StructuralError, match="hyperaddition cell empty or out of range"):
+            mutated_five({(3, 3): []})
 
     @pytest.mark.parametrize("name", UNVERIFIED)
     def test_is_isomorphism_agrees_with_the_oracle_on_every_map(self, name):

@@ -389,6 +389,26 @@ def test_corruptions_that_leave_no_hyperfield_expansion_have_no_suspects():
     assert table.expansion == e.hyperadd
 
 
+@pytest.mark.parametrize("h", [pair_hyperfield(16), massouros(gf(13)), massouros(gf(2, 5))],
+                         ids=["pair16", "massouros13", "massouros32"])
+def test_orbit_search_stops_at_the_first_map_that_does_not_distribute(h):
+    """Counts, not timings.  One hyperadd cell gains its least missing
+    element: the first bijective row the orbit search asks about fails to
+    distribute, and the search stops there, asking one map where going on
+    would ask n - 2.  One product moved off the group leaves the other rows
+    automorphisms, which join 2..n-1 into one orbit."""
+    c = h.candidate
+    n, x = c.n, c.n // 2
+    cell = c.hyperadd[x][3]
+    least = next(w for w in range(n) if not cell >> w & 1)
+    bad = with_cells(c, add_cells=[((x, 3), cell | 1 << least)])
+    table = core._Table(n, bad.hyperadd, bad.mul)
+    assert table.leaders == list(range(n))
+    assert len(table.misses) == 1
+    bad = with_cells(c, mul_cells=[((x, 3), c.mul[x][3] % (n - 1) + 1)])
+    assert core._Table(n, bad.hyperadd, bad.mul).leaders == [0, 1]
+
+
 def seeded_corruptions(c, rng):
     """Cell changes one to three hyperadd cells away from c: a cell and its
     mirror; a cell in row 0 and one in row 1; a cell that gains 0 and one

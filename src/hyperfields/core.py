@@ -20,7 +20,9 @@ x != 0.  _expand() is the one place it is coded: expand_one_row() builds
 the constructions' tables from the v they state, the enumeration kernel
 expands each map v it keeps, and verify() passes a table exactly where it
 is the expansion of its own row 1 and that is a hyperfield, and otherwise
-decides CH1, CH5 and KR3 from the rows where the two differ.
+decides CH1, CH5 and KR3 from the rows where the two differ.  The expansion
+depends on the multiplication and row 1 alone, so a construction hands the
+verify() that follows it the E it built, and E is built once.
 """
 
 from __future__ import annotations
@@ -43,11 +45,33 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _bits(mask: int) -> tuple[int, ...]:
+    """tuple(iter_bits(mask)), built from a list: a tuple grown from a
+    generator is resized, which moves it between the interpreter's per-size
+    free lists and so counts toward the next cyclic collection."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(bits)
+
+
 def mask_of(indices: Iterable[int]) -> int:
     m = 0
     for i in indices:
         m |= 1 << i
     return m
+
+
+def _tuple(items, each=None) -> tuple:
+    """tuple(items), each item converted by each(), or () where that raises
+    TypeError, as for a table, row or cell that is not a sequence: the
+    caller's shape check then refuses it."""
+    try:
+        return tuple(items if each is None else map(each, items))
+    except TypeError:
+        return ()
 
 
 def _check_entries(rows, lo, hi, message) -> None:
@@ -65,13 +89,16 @@ class ElementSet:
     mask: int
 
     def __post_init__(self):
-        if self.n < 1:
+        if type(self.n) is not int or self.n < 1:
             raise StructuralError("carrier size must be >= 1")
         _check_entries([[self.mask]], 0, 1 << self.n, "membership mask out of range")
 
     @classmethod
     def from_indices(cls, n: int, indices: Iterable[int]) -> "ElementSet":
-        idx = tuple(indices)
+        try:
+            idx = tuple(indices)
+        except TypeError:  # not a collection of indices
+            idx = (None,)
         _check_entries((idx,), 0, n, "member index out of range")
         return cls(n, mask_of(idx))
 
@@ -115,10 +142,7 @@ class HyperfieldCandidate:
         n = self.n
         if type(n) is not int or n < 2:
             raise StructuralError("carrier must have at least 2 elements")
-        try:
-            hyperadd, mul = tuple(map(tuple, self.hyperadd)), tuple(map(tuple, self.mul))
-        except TypeError:  # rows that are not sequences
-            hyperadd = mul = ()
+        hyperadd, mul = _tuple(self.hyperadd, tuple), _tuple(self.mul, tuple)
         if len(hyperadd) != n or len(mul) != n or any(len(row) != n for row in hyperadd + mul):
             raise StructuralError("tables must be n x n")
         _check_entries(hyperadd, 1, 1 << n, "hyperaddition cell empty or out of range")
@@ -131,7 +155,7 @@ class HyperfieldCandidate:
         """Build from per-cell member collections instead of raw masks.  The
         rows are made as the candidate reads them, so its shape check
         refuses a row or cell that is not a sequence."""
-        return cls(n, ([ElementSet.from_indices(n, cell).mask for cell in row]
+        return cls(n, ([ElementSet.from_indices(n, tuple(cell)).mask for cell in row]
                        for row in hyperadd_cells), mul)
 
     def cell(self, a: int, b: int) -> tuple[int, ...]:
@@ -426,16 +450,14 @@ class _Bits(dict):
     """Mask -> its member indices, each mask decoded on its first lookup."""
 
     def __missing__(self, m):
-        bits = self[m] = tuple([*iter_bits(m)])
+        bits = self[m] = _bits(m)
         return bits
 
 
 def _members(hyperadd):
-    """Each distinct mask of the table -> its member indices.  The tuples are
-    built from lists: a tuple grown from a generator is resized, which moves
-    it between the interpreter's per-size free lists and so counts toward
-    the next cyclic collection long after it is freed."""
-    return {m: tuple([*iter_bits(m)]) for m in set(chain.from_iterable(hyperadd))}
+    """Each distinct mask of the table -> its member indices, decoded once
+    each by _bits()."""
+    return {m: _bits(m) for m in set(chain.from_iterable(hyperadd))}
 
 
 def _images(members, parts):
@@ -518,6 +540,11 @@ def _mul_facts(n, rows):
     return cols, neutral, associative, inverses(n, rows)
 
 
+# ((mul, v), E) from the last expand_one_row() until the next verify() reads
+# it, else (None, None): one entry, so it keeps at most one table alive.
+_handed = [(None, None)]
+
+
 class _Table:
     """One verify() call's view of a table, given a candidate's tuple rows:
     n, hyperadd, the rows of mul, the facts of _mul_facts(), and the facts
@@ -542,11 +569,16 @@ class _Table:
     def expansion(t):
         """E, the expansion of hyperadd's own row 1 by the scaling identity,
         or None where mul is not a commutative group with zero (Light's test
-        passes, rows equal columns, every x != 0 has an inverse)."""
+        passes, rows equal columns, every x != 0 has an inverse).  It is the
+        E expand_one_row() left in _handed where that is keyed by this mul
+        and row 1, else built here; the read empties the slot either way."""
         n, rows, inv = t.n, t.rows, t.inv
+        (key, e), _handed[0] = _handed[0], (None, None)
         if not (t.associative and rows == t.cols and all(inv[1:])):
             return None
-        return _expand(n, rows, inv, *_row_scalars(t.cols, t.hyperadd[1]))
+        if key != (rows, t.hyperadd[1]):
+            e = _expand(n, rows, inv, *_row_scalars(t.cols, t.hyperadd[1]))
+        return e
 
     @_fact
     def suspects(t):
@@ -669,7 +701,7 @@ def _ch1_symmetry(hyperadd):
     # comment on the checks).  (1, y, z) with y != 0 scales by a = y^-1 to
     # (a (+) 1) (+) u against a (+) (1 (+) u), u = a.z, which CH2 turns
     # into v(a) (+) u against v(u) (+) a; y = 0 holds by CH3.
-    rows = [_sum_row(hyperadd, iter_bits(m)) for m in hyperadd[1]]
+    rows = [_sum_row(hyperadd, _bits(m)) for m in hyperadd[1]]
     return _asymmetry(rows, tuple(zip(*rows)))
 
 
@@ -835,7 +867,8 @@ def _row_scalars(cols, v):
     v(z) among the distinct masks of v, and smul[x][k] is the k-th mask's
     image under x.  Images are ORed a whole column of mul at a time.  O(n^2)
     on bounded cells."""
-    cols = [tuple(map((1).__lshift__, col)) for col in cols]  # cols[w][x] = {x . w}
+    bit = [1 << x for x in range(len(v))].__getitem__
+    cols = [tuple(map(bit, col)) for col in cols]  # cols[w][x] = {x . w}
     members = _members((v,))
     index = {m: k for k, m in enumerate(members)}
     images = [reduce(_or_rows, map(cols.__getitem__, bits)) for bits in members.values()]
@@ -851,7 +884,8 @@ class OneRowMap:
 
     def __post_init__(self):
         n = self.n
-        if len(self.masks) != n:
+        object.__setattr__(self, "masks", _tuple(self.masks))
+        if type(n) is not int or len(self.masks) != n:
             raise StructuralError("one-row map must cover the whole carrier")
         if self.masks[0] != 1 << 1:
             raise StructuralError("1(+)0 must be {1}")
@@ -867,16 +901,21 @@ def expand_one_row(mul_table, nu: OneRowMap) -> HyperfieldCandidate:
     group with identity 1, such as a field's or one from abelian_groups().
     The result may still fail verify(): only distributivity-derived
     structure is built in.  Costs O(n^2) on rows of bounded cell size.
+    The expansion is left in _handed, keyed by (mul, v), for the verify()
+    that follows: its table's E is this one exactly where its mul and row 1
+    are these, and it reads the slot once.
     """
     n = nu.n
-    mul = tuple(tuple(row) for row in mul_table)
+    mul = _tuple(mul_table, tuple)
     if len(mul) != n or any(len(r) != n for r in mul):
         raise StructuralError("multiplication table must be n x n")
     _check_entries(mul, 0, n, "multiplication entry out of range")  # as a candidate's
     inv = inverses(n, mul)
     if any(inv[x] == 0 for x in range(1, n)):
         raise StructuralError("nonzero part of mul_table is not a group")
-    return HyperfieldCandidate(n, _expand(n, mul, inv, *_row_scalars(zip(*mul), nu.masks)), mul)
+    e = _expand(n, mul, inv, *_row_scalars(zip(*mul), nu.masks))
+    _handed[0] = (mul, nu.masks), e
+    return HyperfieldCandidate(n, e, mul)
 
 
 @dataclass(frozen=True)
@@ -970,7 +1009,8 @@ def relabel(c: HyperfieldCandidate, perm: tuple[int, ...]) -> HyperfieldCandidat
     """Apply a carrier bijection: new index of old element i is perm[i].
     Each distinct mask is carried once; new row i is old row perm^-1(i)."""
     n = c.n
-    if len(perm) != n or sorted(perm) != list(range(n)):
+    perm = _tuple(perm)
+    if len(perm) != n or {*map(type, perm)} != {int} or sorted(perm) != list(range(n)):
         raise DomainError("perm must be a bijection on 0..n-1")
     back = sorted(range(n), key=perm.__getitem__)  # perm^-1
     carry = _carry(_members(c.hyperadd), perm)

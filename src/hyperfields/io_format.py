@@ -18,7 +18,9 @@ mask once through core._members.  The parser enforces structure only --
 shape, index ranges, nonempty sorted cells, and the normalization that zero
 is index 0 and one index 1; axiom checking stays on demand.  Each distinct
 cell is checked and converted once.  render_document() emits one canonical
-byte form, so parse-then-render is the identity on rendered files.
+byte form, so parse-then-render is the identity on rendered files.  Its
+one encoder skips json.dumps()'s check for reference cycles, which rows of
+ints, labels and a string cannot hold; the bytes are json.dumps()'s.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from .core import Hyperfield, HyperfieldCandidate, _members
 from .errors import DomainError, HyperfieldError
 
 FORMAT_VERSION = 1
+
+_encode = json.JSONEncoder(check_circular=False).encode
 
 
 class DocumentError(HyperfieldError, ValueError):
@@ -105,17 +109,17 @@ def candidate_from_document(doc: HyperfieldDocument) -> HyperfieldCandidate:
 
 def render_document(doc: HyperfieldDocument) -> str:
     """Canonical text: fixed key order, one table row per line."""
-    def rows(table):  # tuple cells encode as arrays
-        return ",\n".join(f"    {json.dumps(list(row))}" for row in table)
+    def rows(table):  # tuples encode as arrays
+        return ",\n".join(f"    {_encode(row)}" for row in table)
 
     out = ["{", f'  "version": {doc.version},', f'  "order": {doc.order},']
     if doc.labels is not None:
-        out.append(f'  "labels": {json.dumps(list(doc.labels))},')
+        out.append(f'  "labels": {_encode(doc.labels)},')
     out += ['  "mul": [', rows(doc.mul), "  ],", '  "hyperadd": [', rows(doc.hyperadd)]
     if doc.metadata is None:
         out.append("  ]")
     else:
-        out += ["  ],", f'  "metadata": {json.dumps(doc.metadata)}']
+        out += ["  ],", f'  "metadata": {_encode(doc.metadata)}']
     out.append("}")
     return "\n".join(out) + "\n"
 

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from dataclasses import replace
 from itertools import product as iproduct
@@ -10,6 +11,7 @@ from hyperfields import (
     ElementSet,
     HyperfieldCandidate,
     StructuralError,
+    abelian_groups,
     from_field,
     gf,
     hyper_sum,
@@ -150,6 +152,122 @@ def test_constructors_refuse_entries_that_are_not_ints_in_range(constructor, val
     build, message = ENTRY_TAKERS[constructor]
     with pytest.raises(StructuralError, match=message):
         build(value)
+
+
+# Inputs of the wrong type, each with the error it must raise in place of
+# TypeError, and that error's message.
+MISTYPED = {
+    "expand_one_row-row-not-a-sequence": (
+        lambda: core.expand_one_row([1, 2], core.OneRowMap(2, (2, 1))),
+        StructuralError, "multiplication table must be n x n"),
+    "ElementSet-n-str": (lambda: ElementSet("3", 1), StructuralError, "carrier size must be >= 1"),
+    "ElementSet-n-float": (lambda: ElementSet(3.0, 1), StructuralError, "carrier size must be >= 1"),
+    "from_indices-int": (lambda: ElementSet.from_indices(3, 5),
+                         StructuralError, "member index out of range"),
+    "OneRowMap-int": (lambda: core.OneRowMap(2, 5),
+                      StructuralError, "one-row map must cover the whole carrier"),
+    "OneRowMap-n-float": (lambda: core.OneRowMap(2.0, (2, 1)),
+                          StructuralError, "one-row map must cover the whole carrier"),
+    "relabel-float": (lambda: relabel(pair_hyperfield(2).candidate, (0, 1.0)),
+                      DomainError, "perm must be a bijection on 0..n-1"),
+    "relabel-str": (lambda: relabel(pair_hyperfield(2).candidate, (0, "1")),
+                    DomainError, "perm must be a bijection on 0..n-1"),
+    "relabel-int": (lambda: relabel(pair_hyperfield(2).candidate, 5),
+                    DomainError, "perm must be a bijection on 0..n-1"),
+}
+
+
+@pytest.mark.parametrize("case", MISTYPED)
+def test_entry_points_refuse_inputs_of_the_wrong_type(case):
+    """Each raises the library's own error with its existing message, never
+    TypeError, and none accepts an equal float for an int."""
+    build, error, message = MISTYPED[case]
+    with pytest.raises(error, match=message):
+        build()
+
+
+def test_one_row_map_holds_its_masks_as_a_tuple():
+    nu = core.OneRowMap(3, [2, 4, 1])
+    assert nu.masks == (2, 4, 1) and type(nu.masks) is tuple
+    assert hash(nu) == hash(core.OneRowMap(3, (2, 4, 1)))
+
+
+def test_bits_decodes_as_iter_bits():
+    """core._bits against iter_bits and against the binary digits of the
+    mask, on 0, 1, each power of two, all-ones masks and random masks of up
+    to 1,100 bits."""
+    rng = random.Random(1100)
+    masks = [0, 1, *(1 << k for k in range(1100)), *((1 << k) - 1 for k in range(1, 1101, 37)),
+             (1 << 1100) - 1, *(rng.getrandbits(rng.randint(1, 1100)) for _ in range(200))]
+    for m in masks:
+        digits = tuple(i for i, d in enumerate(reversed(bin(m)[2:])) if d == "1")
+        assert core._bits(m) == tuple(core.iter_bits(m)) == digits, m
+
+
+CONSTRUCTIONS = {
+    "massouros29": lambda: massouros(gf(29)),
+    "pair30": lambda: pair_hyperfield(30),
+    "quotient31": lambda: quotient(gf(31), subgroup_closure(gf(31), [2])),
+}
+
+
+class TestExpansionHandOff:
+    """expand_one_row() leaves the expansion E it built for the verify()
+    that follows, keyed by (mul, v), and that verify() empties the slot: a
+    construction builds E once, and no later call can read it."""
+
+    @staticmethod
+    def counted_row_scalars(monkeypatch):
+        calls = []
+        real = core._row_scalars
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(core, "_row_scalars", counting)
+        return calls
+
+    @pytest.mark.parametrize("name", CONSTRUCTIONS)
+    def test_a_construction_builds_its_expansion_once(self, monkeypatch, name):
+        build = CONSTRUCTIONS[name]
+        build()  # the fields and subgroups, which may be cached
+        calls = self.counted_row_scalars(monkeypatch)
+        h = build()
+        assert len(calls) == 1
+        assert core._handed[0] == (None, None)
+        calls.clear()
+        fresh = HyperfieldCandidate(h.n, list(map(list, h.hyperadd)), list(map(list, h.mul)))
+        assert verify(fresh).ok
+        assert len(calls) == 1
+
+    def test_a_handed_expansion_is_never_stale(self):
+        """Expansions of two groups of order 4 that share v are interleaved,
+        the first or the second left last, before each verify().  Every
+        report equals the one made with an empty slot: the first group's
+        table, a copy with one product changed, a copy with one
+        hyperaddition cell changed, and its hyperaddition over the second
+        group's multiplication, which shares its row 1."""
+        nu = core.OneRowMap(5, massouros(gf(5)).hyperadd[1])
+        klein = next(g for g in abelian_groups(4) if all(g[x][x] == 1 for x in range(1, 5)))
+        muls = {"a": gf(5).mul, "b": klein}
+        c = core.expand_one_row(muls["a"], nu)
+        product_changed = [list(row) for row in c.mul]
+        product_changed[2][3] = 4
+        cell_changed = [list(row) for row in c.hyperadd]
+        cell_changed[2][3] ^= 1 << 4
+        tables = [c, HyperfieldCandidate(5, c.hyperadd, product_changed),
+                  HyperfieldCandidate(5, cell_changed, c.mul),
+                  HyperfieldCandidate(5, c.hyperadd, klein)]
+        want = []
+        for table in tables:
+            core._handed[0] = (None, None)
+            want.append(verify(table))
+        assert [r.ok for r in want] == [True, False, False, False]
+        for k, last in iproduct(range(len(tables)), "ab"):
+            for side in ("b", "a") if last == "a" else ("a", "b"):
+                core.expand_one_row(muls[side], nu)
+            assert verify(tables[k]) == want[k], (k, last)
+            assert core._handed[0] == (None, None)
 
 
 class TestHyperSum:

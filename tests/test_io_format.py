@@ -14,6 +14,7 @@ from hyperfields import (
     enumerate_hyperfields,
     from_field,
     gf,
+    hyperfield_of_order,
     massouros,
     pair_hyperfield,
     parse_document,
@@ -216,6 +217,42 @@ class TestParserRejections:
         with pytest.raises(ValidationError) as err:
             parse_document(text)
         assert err.value.code == "dimensions"
+
+
+def dumps_render(doc):
+    """render_document() as written with one json.dumps() call per row,
+    label list and metadata string."""
+    def rows(table):
+        return ",\n".join(f"    {json.dumps(list(row))}" for row in table)
+
+    out = ["{", f'  "version": {doc.version},', f'  "order": {doc.order},']
+    if doc.labels is not None:
+        out.append(f'  "labels": {json.dumps(list(doc.labels))},')
+    out += ['  "mul": [', rows(doc.mul), "  ],", '  "hyperadd": [', rows(doc.hyperadd)]
+    if doc.metadata is None:
+        out.append("  ]")
+    else:
+        out += ["  ],", f'  "metadata": {json.dumps(doc.metadata)}']
+    return "\n".join(out + ["}"]) + "\n"
+
+
+RENDERED = {
+    **{f"order{n}": lambda n=n: hyperfield_of_order(n) for n in (2, 6, 29, 64)},
+    "pair128": lambda: pair_hyperfield(128),
+    "massouros128": lambda: massouros(gf(2, 7)),
+}
+
+
+@pytest.mark.parametrize("extras", ["bare", "labels", "metadata", "both"])
+@pytest.mark.parametrize("name", RENDERED)
+def test_render_document_writes_json_dumps_bytes(name, extras):
+    """The one encoder of render_document() gives json.dumps()'s bytes,
+    with and without labels and metadata, escapes included."""
+    h = RENDERED[name]()
+    labels = ("0", "1", *(f'e"{i}\\é' for i in range(2, h.n)))
+    doc = to_document(h, labels=labels if extras in ("labels", "both") else None,
+                      metadata='a "recipe"\n\\ é €' if extras in ("metadata", "both") else None)
+    assert render_document(doc) == dumps_render(doc)
 
 
 class TestPrettyTable:

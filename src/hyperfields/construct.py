@@ -81,7 +81,7 @@ def subgroup_closure(f: FieldTable, gens) -> SubgroupSpec:
     for g in gens:
         if g == 0:
             raise DomainError("0 cannot generate a multiplicative subgroup")
-        if not 0 < g < f.q:
+        if type(g) is not int or not 0 < g < f.q:
             raise DomainError(f"generator {g} out of range")
     return SubgroupSpec(f, gens, frozenset(span(f.mul, gens)))
 
@@ -167,7 +167,7 @@ def pair_hyperfield(n: int) -> Hyperfield:
     opposite).  Its row is v(0) = {1}, v(1) = the full carrier and
     v(z) = {1, z} otherwise.  Exists for every n >= 2 and is the existence
     witness used for orders where no field-based construction applies."""
-    if n < 2:
+    if type(n) is not int or n < 2:
         raise DomainError("order must be at least 2")
     m = n - 1
     mul = [[0] * n] + [[0] + [(x + y) % m + 1 for y in range(m)] for x in range(m)]
@@ -191,7 +191,7 @@ def hyperfield_of_order(n: int) -> Hyperfield:
     the axes) -- so they use pair_hyperfield(n) instead.  Both paths are
     deterministic, so outputs are byte-reproducible.
     """
-    if n < 2:
+    if type(n) is not int or n < 2:
         raise DomainError("order must be at least 2")
     if n > MAX_SYNTH_ORDER:
         raise CapacityError(f"order {n} exceeds synthesis bound {MAX_SYNTH_ORDER}")

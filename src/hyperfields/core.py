@@ -20,14 +20,14 @@ x != 0.  _expand() is the one place it is coded: expand_one_row() builds
 the constructions' tables from the v they state, the enumeration kernel
 expands each map v it keeps, and verify() passes a table exactly where it
 is the expansion of its own row 1 and that is a hyperfield, and otherwise
-decides CH1, CH5 and KR3 from the rows where the two differ.  The expansion
-depends on the multiplication and row 1 alone, so a construction hands the
-verify() that follows it the E it built, and E is built once.
+decides CH1, CH5 and KR3 from the rows where the two differ.  A candidate
+that expand_one_row() returned is marked as its own expansion, so verify()
+reads E off it, and a construction builds E once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import chain
 from math import gcd
@@ -95,6 +95,8 @@ class ElementSet:
 
     @classmethod
     def from_indices(cls, n: int, indices: Iterable[int]) -> "ElementSet":
+        if type(n) is not int:
+            raise StructuralError("carrier size must be >= 1")
         try:
             idx = tuple(indices)
         except TypeError:  # not a collection of indices
@@ -104,10 +106,10 @@ class ElementSet:
 
     @property
     def members(self) -> tuple[int, ...]:
-        return tuple(iter_bits(self.mask))
+        return _bits(self.mask)
 
     def __contains__(self, i: int) -> bool:
-        return 0 <= i < self.n and bool(self.mask >> i & 1)
+        return type(i) is int and 0 <= i < self.n and bool(self.mask >> i & 1)
 
     def __iter__(self) -> Iterator[int]:
         return iter_bits(self.mask)
@@ -129,14 +131,14 @@ class HyperfieldCandidate:
     valid: construction (and dataclasses.replace) raises StructuralError
     unless n >= 2 and both tables are n x n, of int cells 0 < m < 2^n and
     products in 0..n-1.  zero is index 0 and one index 1 by convention.
+    expanded, set by expand_one_row() alone, marks the candidates it
+    returns; copies and replace() are unmarked, and it is never compared.
     """
 
     n: int
     hyperadd: tuple[tuple[int, ...], ...]
     mul: tuple[tuple[int, ...], ...]
-
-    zero = 0
-    one = 1
+    expanded: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.n
@@ -159,13 +161,13 @@ class HyperfieldCandidate:
                        for row in hyperadd_cells), mul)
 
     def cell(self, a: int, b: int) -> tuple[int, ...]:
-        return tuple(iter_bits(self.hyperadd[a][b]))
+        _check_entries(((a, b),), 0, self.n, "element index out of range")
+        return _bits(self.hyperadd[a][b])
 
 
 def hyper_sum(c: HyperfieldCandidate, a: int, b: int) -> ElementSet:
     """The hyperaddition value a (+) b."""
-    if not (0 <= a < c.n and 0 <= b < c.n):
-        raise StructuralError("element index out of range")
+    _check_entries(((a, b),), 0, c.n, "element index out of range")
     return ElementSet(c.n, c.hyperadd[a][b])
 
 
@@ -191,8 +193,7 @@ def _zero_partners(row) -> list[int]:
 
 def opposite(c: HyperfieldCandidate, a: int) -> int:
     """The unique x' with 0 in a (+) x'."""
-    if not 0 <= a < c.n:
-        raise StructuralError("element index out of range")
+    _check_entries(((a,),), 0, c.n, "element index out of range")
     found = tuple(_zero_partners(c.hyperadd[a]))
     if len(found) != 1:
         raise AxiomViolationError(
@@ -540,20 +541,17 @@ def _mul_facts(n, rows):
     return cols, neutral, associative, inverses(n, rows)
 
 
-# ((mul, v), E) from the last expand_one_row() until the next verify() reads
-# it, else (None, None): one entry, so it keeps at most one table alive.
-_handed = [(None, None)]
-
-
 class _Table:
     """One verify() call's view of a table, given a candidate's tuple rows:
     n, hyperadd, the rows of mul, the facts of _mul_facts(), and the facts
     the axiom checks share, each computed at most once.  suspects is 0
     exactly where all ten hold, and CH1, CH5 and KR3 are decided from it.
-    misses holds the distributivity fact of each map asked of _miss()."""
+    misses holds the distributivity fact of each map asked of _miss(), and
+    expanded is the mark of a candidate that expand_one_row() returned."""
 
-    def __init__(self, n, hyperadd, mul):
+    def __init__(self, n, hyperadd, mul, expanded=False):
         self.n, self.hyperadd, self.rows, self.misses = n, hyperadd, mul, {}
+        self.expanded = expanded
         self.cols, self.neutral, self.associative, self.inv = _mul_facts(n, mul)
 
     @_fact
@@ -569,16 +567,15 @@ class _Table:
     def expansion(t):
         """E, the expansion of hyperadd's own row 1 by the scaling identity,
         or None where mul is not a commutative group with zero (Light's test
-        passes, rows equal columns, every x != 0 has an inverse).  It is the
-        E expand_one_row() left in _handed where that is keyed by this mul
-        and row 1, else built here; the read empties the slot either way."""
-        n, rows, inv = t.n, t.rows, t.inv
-        (key, e), _handed[0] = _handed[0], (None, None)
+        passes, rows equal columns, every x != 0 has an inverse).  A table
+        marked expanded is its own E: under those conditions expand_one_row()
+        built it from this mul, these inverses and row 1 exactly as here."""
+        rows, inv = t.rows, t.inv
         if not (t.associative and rows == t.cols and all(inv[1:])):
             return None
-        if key != (rows, t.hyperadd[1]):
-            e = _expand(n, rows, inv, *_row_scalars(t.cols, t.hyperadd[1]))
-        return e
+        if t.expanded:
+            return t.hyperadd
+        return _expand(t.n, rows, inv, *_row_scalars(t.cols, t.hyperadd[1]))
 
     @_fact
     def suspects(t):
@@ -901,9 +898,7 @@ def expand_one_row(mul_table, nu: OneRowMap) -> HyperfieldCandidate:
     group with identity 1, such as a field's or one from abelian_groups().
     The result may still fail verify(): only distributivity-derived
     structure is built in.  Costs O(n^2) on rows of bounded cell size.
-    The expansion is left in _handed, keyed by (mul, v), for the verify()
-    that follows: its table's E is this one exactly where its mul and row 1
-    are these, and it reads the slot once.
+    The result is marked expanded, so verify() reads its E off it.
     """
     n = nu.n
     mul = _tuple(mul_table, tuple)
@@ -913,9 +908,9 @@ def expand_one_row(mul_table, nu: OneRowMap) -> HyperfieldCandidate:
     inv = inverses(n, mul)
     if any(inv[x] == 0 for x in range(1, n)):
         raise StructuralError("nonzero part of mul_table is not a group")
-    e = _expand(n, mul, inv, *_row_scalars(zip(*mul), nu.masks))
-    _handed[0] = (mul, nu.masks), e
-    return HyperfieldCandidate(n, e, mul)
+    c = HyperfieldCandidate(n, _expand(n, mul, inv, *_row_scalars(zip(*mul), nu.masks)), mul)
+    object.__setattr__(c, "expanded", True)
+    return c
 
 
 @dataclass(frozen=True)
@@ -961,7 +956,7 @@ def verify(c: HyperfieldCandidate) -> AxiomReport:
     hyperaddition cells off one fails in O(n^2 log n); one whose row 1 or
     multiplication breaks the automorphisms can cost O(n^3).
     """
-    t = _Table(c.n, c.hyperadd, c.mul)
+    t = _Table(c.n, c.hyperadd, c.mul, expanded=c.expanded)
     if not t.suspects:
         return _PASSED
     hits = [(code, check(t)) for code, check in AXIOM_CHECKS]

@@ -90,7 +90,7 @@ class SearchOptions:
 def abelian_groups(m: int) -> list[tuple[tuple[int, ...], ...]]:
     """galois.abelian_group_tables(m), as a new list, for any m >= 1: one
     (m+1) x (m+1) table per group, built once per m."""
-    if m < 1:
+    if type(m) is not int or m < 1:
         raise CapacityError(f"group order must be at least 1, got {m}")
     return list(abelian_group_tables(m))
 
@@ -305,7 +305,7 @@ def enumerate_hyperfields(n: int, options: Optional[SearchOptions] = None) -> li
     key order over the groups sorted by their element orders, so the output
     does not depend on the worker count and takes no isomorphism search.
     """
-    if not 2 <= n <= MAX_ENUM_ORDER:
+    if type(n) is not int or not 2 <= n <= MAX_ENUM_ORDER:
         raise CapacityError(f"enumeration supports orders 2..{MAX_ENUM_ORDER}")
     options = options or SearchOptions()
     if options.jobs < 1:

@@ -92,7 +92,7 @@ class Factorization:
 
 def factor_integer(n: int) -> Factorization:
     """Unique prime-power factorization of n >= 2, ascending primes."""
-    if n < 2:
+    if type(n) is not int or n < 2:
         raise DomainError("order must be at least 2")
     factors = []
     rest = n
@@ -280,10 +280,13 @@ def gf(p: int, k: int = 1) -> FieldTable:
     """Build GF(p**k).  Deterministic: a fixed modulus selection rule.
 
     The capacity bounds are checked before p's primality, so a huge p fails
-    fast with CapacityError; a composite p within them is a DomainError.
+    fast with CapacityError; a composite p within them is a DomainError,
+    and so is a p that is not an int.
     """
-    if not 1 <= k <= MAX_EXTENSION_DEGREE:
+    if type(k) is not int or not 1 <= k <= MAX_EXTENSION_DEGREE:
         raise CapacityError(f"extension degree must be in 1..{MAX_EXTENSION_DEGREE}")
+    if type(p) is not int:
+        raise DomainError("p not prime")
     q = p ** k
     if q > MAX_FIELD_ORDER:
         raise CapacityError(f"field order {q} exceeds {MAX_FIELD_ORDER}")

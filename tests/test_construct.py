@@ -12,6 +12,9 @@ from hyperfields import (
     ConstructionError,
     DomainError,
     SubgroupSpec,
+    abelian_groups,
+    enumerate_hyperfields,
+    factor_integer,
     from_field,
     gf,
     hyperfield_of_order,
@@ -364,3 +367,35 @@ class TestOrderArithmetic:
     def test_product_order_multiplies(self):
         a, b = massouros(gf(2)), massouros(gf(5))
         assert product_candidate(a, b).n == 10
+
+
+ORDER = "order must be at least 2"
+# Orders and field arguments of the wrong type, each with the error and the
+# message it must raise in place of TypeError, or of a FieldTable with k=True.
+MISTYPED_ORDERS = {
+    "gf-p-float": (lambda: gf(2.0), DomainError, "p not prime"),
+    "gf-k-float": (lambda: gf(2, 1.0), CapacityError, "extension degree must be in 1..8"),
+    "gf-k-bool": (lambda: gf(3, True), CapacityError, "extension degree must be in 1..8"),
+    "factor_integer-float": (lambda: factor_integer(6.0), DomainError, ORDER),
+    "abelian_groups-float": (lambda: abelian_groups(2.0), CapacityError,
+                             "group order must be at least 1"),
+    "abelian_groups-bool": (lambda: abelian_groups(True), CapacityError,
+                            "group order must be at least 1"),
+    "enumerate-float": (lambda: enumerate_hyperfields(3.0), CapacityError,
+                        "enumeration supports orders 2..6"),
+    "pair-float": (lambda: pair_hyperfield(2.0), DomainError, ORDER),
+    "pair-str": (lambda: pair_hyperfield("3"), DomainError, ORDER),
+    "of_order-str": (lambda: hyperfield_of_order("3"), DomainError, ORDER),
+    "of_order-float": (lambda: hyperfield_of_order(3.0), DomainError, ORDER),
+    "subgroup-float": (lambda: subgroup_closure(gf(5), [2.0]), DomainError,
+                       "generator 2.0 out of range"),
+    "subgroup-bool": (lambda: subgroup_closure(gf(5), [True]), DomainError,
+                      "generator True out of range"),
+}
+
+
+@pytest.mark.parametrize("case", MISTYPED_ORDERS)
+def test_orders_and_field_arguments_of_the_wrong_type_are_refused(case):
+    build, error, message = MISTYPED_ORDERS[case]
+    with pytest.raises(error, match=message):
+        build()

@@ -12,6 +12,8 @@ from hyperfields import (
     HyperfieldCandidate,
     StructuralError,
     abelian_groups,
+    candidate_from_document,
+    enumerate_hyperfields,
     from_field,
     gf,
     hyper_sum,
@@ -19,15 +21,19 @@ from hyperfields import (
     massouros,
     opposite,
     pair_hyperfield,
+    parse_document,
     product_candidate,
     quotient,
     relabel,
+    render_document,
     subgroup_closure,
+    to_document,
     verified,
     verify,
 )
 from hyperfields import core
 from conftest import mutated_five, one_row_reconstruction_ok
+from test_verifier_oracle import exhaustive_report, symmetric_group_with_zero
 
 
 class TestElementSet:
@@ -186,6 +192,38 @@ def test_entry_points_refuse_inputs_of_the_wrong_type(case):
         build()
 
 
+# Readers that take element indices, each with an index that is out of range
+# or not an int, and the message it must raise; the candidate is
+# pair_hyperfield(3)'s.  cell(-1, 0) once read cell (2, 0), and the others
+# raised IndexError or TypeError, or took True for 1.
+ELEMENT_INDEX_RULE = "element index out of range"
+MISREAD_INDICES = {
+    "cell-negative": (lambda c: c.cell(-1, 0), ELEMENT_INDEX_RULE),
+    "cell-too-large": (lambda c: c.cell(3, 0), ELEMENT_INDEX_RULE),
+    "cell-float": (lambda c: c.cell(1.0, 1), ELEMENT_INDEX_RULE),
+    "hyper_sum-float": (lambda c: hyper_sum(c, 1.0, 2), ELEMENT_INDEX_RULE),
+    "hyper_sum-bool": (lambda c: hyper_sum(c, True, 2), ELEMENT_INDEX_RULE),
+    "opposite-str": (lambda c: opposite(c, "1"), ELEMENT_INDEX_RULE),
+    "opposite-float": (lambda c: opposite(c, 1.0), ELEMENT_INDEX_RULE),
+    "from_indices-carrier-str": (lambda c: ElementSet.from_indices("3", [1]),
+                                 "carrier size must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", MISREAD_INDICES)
+def test_element_readers_refuse_indices_that_are_not_ints_in_range(case):
+    read, message = MISREAD_INDICES[case]
+    with pytest.raises(StructuralError, match=message):
+        read(pair_hyperfield(3).candidate)
+
+
+@pytest.mark.parametrize("value", ["1", 1.0, True, None, -1, 3])
+def test_only_an_int_in_range_can_be_a_member(value):
+    s = ElementSet(3, 0b111)
+    assert value not in s
+    assert [i for i in range(3) if i in s] == list(s) == [0, 1, 2]
+
+
 def test_one_row_map_holds_its_masks_as_a_tuple():
     nu = core.OneRowMap(3, [2, 4, 1])
     assert nu.masks == (2, 4, 1) and type(nu.masks) is tuple
@@ -211,10 +249,56 @@ CONSTRUCTIONS = {
 }
 
 
-class TestExpansionHandOff:
-    """expand_one_row() leaves the expansion E it built for the verify()
-    that follows, keyed by (mul, v), and that verify() empties the slot: a
-    construction builds E once, and no later call can read it."""
+def klein_with_zero():
+    """The Klein four-group with a zero: every x != 0 squares to 1."""
+    return next(g for g in abelian_groups(4) if all(g[x][x] == 1 for x in range(1, 5)))
+
+
+def shifted_z4():
+    """Z/4 on 1..4 with its identity at 2: a Latin square in which every
+    x != 0 has a y with x.y = 1, but 1 is not the identity."""
+    label = [2, 3, 4, 1]  # label[k] stands for k in Z/4, so x stands for (x - 2) % 4
+    return ((0,) * 5,) + tuple((0, *(label[(x + y) % 4] for y in range(1, 5)))
+                               for x in range(1, 5))
+
+
+MASSOUROS5_ROW = core.OneRowMap(5, massouros(gf(5)).hyperadd[1])
+GF5_ONE_PRODUCT_OFF = ((0,) * 5, (0, 1, 2, 3, 4), (0, 2, 4, 1, 2), (0, 3, 1, 4, 2),
+                       (0, 4, 3, 2, 1))  # 2.4 = 2, not 3: still each x != 0 has an inverse
+
+# Tables expand_one_row() returns, each marked as its own expansion.
+MARKED = {
+    "massouros5": lambda: core.expand_one_row(gf(5).mul, MASSOUROS5_ROW),
+    "klein": lambda: core.expand_one_row(klein_with_zero(), MASSOUROS5_ROW),
+    "one-product-off": lambda: core.expand_one_row(GF5_ONE_PRODUCT_OFF, MASSOUROS5_ROW),
+    "S3": lambda: core.expand_one_row(symmetric_group_with_zero(),
+                                      core.OneRowMap(7, pair_hyperfield(7).hyperadd[1])),
+    "one-not-identity": lambda: core.expand_one_row(shifted_z4(), MASSOUROS5_ROW),
+}
+
+
+def with_cell(rows, x, y, value):
+    rows = [list(row) for row in rows]
+    rows[x][y] = value
+    return rows
+
+
+# The tables of massouros5 that expand_one_row() did not return: with one
+# product changed, with one hyperaddition cell changed, and its
+# hyperaddition over the Klein group, which shares its row 1.
+UNMARKED = {
+    "product-changed": lambda c: HyperfieldCandidate(5, c.hyperadd, with_cell(c.mul, 2, 3, 4)),
+    "cell-changed": lambda c: HyperfieldCandidate(
+        5, with_cell(c.hyperadd, 2, 3, c.hyperadd[2][3] ^ 1 << 4), c.mul),
+    "over-klein": lambda c: HyperfieldCandidate(5, c.hyperadd, klein_with_zero()),
+}
+
+
+class TestExpansionMark:
+    """expand_one_row() marks the candidate it returns as its own expansion
+    E, and verify() reads E off a marked candidate: a construction builds E
+    once, every other candidate builds its own, and nothing is left in the
+    module for a later call."""
 
     @staticmethod
     def counted_row_scalars(monkeypatch):
@@ -233,41 +317,60 @@ class TestExpansionHandOff:
         build()  # the fields and subgroups, which may be cached
         calls = self.counted_row_scalars(monkeypatch)
         h = build()
-        assert len(calls) == 1
-        assert core._handed[0] == (None, None)
+        assert len(calls) == 1 and h.candidate.expanded
         calls.clear()
         fresh = HyperfieldCandidate(h.n, list(map(list, h.hyperadd)), list(map(list, h.mul)))
         assert verify(fresh).ok
         assert len(calls) == 1
 
-    def test_a_handed_expansion_is_never_stale(self):
-        """Expansions of two groups of order 4 that share v are interleaved,
-        the first or the second left last, before each verify().  Every
-        report equals the one made with an empty slot: the first group's
-        table, a copy with one product changed, a copy with one
-        hyperaddition cell changed, and its hyperaddition over the second
-        group's multiplication, which shares its row 1."""
-        nu = core.OneRowMap(5, massouros(gf(5)).hyperadd[1])
-        klein = next(g for g in abelian_groups(4) if all(g[x][x] == 1 for x in range(1, 5)))
-        muls = {"a": gf(5).mul, "b": klein}
-        c = core.expand_one_row(muls["a"], nu)
-        product_changed = [list(row) for row in c.mul]
-        product_changed[2][3] = 4
-        cell_changed = [list(row) for row in c.hyperadd]
-        cell_changed[2][3] ^= 1 << 4
-        tables = [c, HyperfieldCandidate(5, c.hyperadd, product_changed),
-                  HyperfieldCandidate(5, cell_changed, c.mul),
-                  HyperfieldCandidate(5, c.hyperadd, klein)]
-        want = []
-        for table in tables:
-            core._handed[0] = (None, None)
-            want.append(verify(table))
-        assert [r.ok for r in want] == [True, False, False, False]
-        for k, last in iproduct(range(len(tables)), "ab"):
-            for side in ("b", "a") if last == "a" else ("a", "b"):
-                core.expand_one_row(muls[side], nu)
-            assert verify(tables[k]) == want[k], (k, last)
-            assert core._handed[0] == (None, None)
+    def test_only_what_expand_one_row_returns_is_marked(self):
+        marked = [build() for build in MARKED.values()]
+        marked += [build().candidate for build in CONSTRUCTIONS.values()]
+        assert all(c.expanded for c in marked)
+        c = marked[0]
+        unmarked = [build(c) for build in UNMARKED.values()] + [
+            HyperfieldCandidate(c.n, c.hyperadd, c.mul),
+            replace(c),
+            replace(c, mul=GF5_ONE_PRODUCT_OFF),
+            relabel(c, tuple(range(5))),
+            relabel(c, (0, 1, 3, 2, 4)),
+            candidate_from_document(parse_document(render_document(to_document(c)))),
+            product_candidate(massouros(gf(3)), pair_hyperfield(3)),
+            from_field(gf(5)).candidate,
+            *(h.candidate for h in enumerate_hyperfields(5)),
+        ]
+        assert not any(u.expanded for u in unmarked)
+
+    def test_the_mark_is_not_part_of_the_value(self):
+        c = MARKED["massouros5"]()
+        twin = HyperfieldCandidate(c.n, c.hyperadd, c.mul)
+        assert c == twin and hash(c) == hash(twin) and repr(c) == repr(twin)
+        with pytest.raises(TypeError):
+            HyperfieldCandidate(c.n, c.hyperadd, c.mul, expanded=True)
+        with pytest.raises(ValueError):
+            replace(twin, expanded=True)
+
+    @pytest.mark.parametrize("name", [*MARKED, *UNMARKED])
+    def test_a_marked_table_verifies_as_its_unmarked_copy(self, name):
+        """Each report equals the ten oracles' and that of a copy that is
+        not marked, whatever was expanded last."""
+        base = MARKED["massouros5"]()
+        c = MARKED[name]() if name in MARKED else UNMARKED[name](base)
+        for build in MARKED.values():
+            build()
+        want = exhaustive_report(c)
+        assert verify(c) == verify(HyperfieldCandidate(c.n, c.hyperadd, c.mul)) == want
+        assert want.ok == (name == "massouros5")
+
+    def test_expanding_and_verifying_leave_the_module_as_it_was(self):
+        """Nothing but _mul_facts' cache, which repr does not show, changes."""
+        def snapshot():
+            return {name: (id(value), repr(value))
+                    for name, value in vars(core).items() if not name.startswith("__")}
+        before = snapshot()
+        c = MARKED["massouros5"]()
+        assert snapshot() == before
+        assert verify(c).ok and snapshot() == before
 
 
 class TestHyperSum:

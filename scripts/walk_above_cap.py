@@ -9,9 +9,9 @@ prints one row per order: the maps the walk decides, its survivors, the
 walk seconds (spent in _run_shard), the classes and the seconds of the
 whole enumeration, so total_s - walk_s is shard set-up plus survivor
 verification.  Every survivor is the least map of its orbit, so survivors
-and classes agree.  Orders 7-9 take about 1.7 s in all and 27 MB, and
-order 10 13-16 s (walk 8-10 s) and 83 MB, on a 2-core Xeon VM under
-CPython 3.11; total_s - walk_s reads 0.53-0.58 s at order 9 and 5.2-5.9 s
+and classes agree.  Orders 7-9 take about 1.1 s in all and 28 MB, and
+order 10 8.6-9.7 s (walk 6.4-7.3 s) and about 90 MB, on a 2-core Xeon VM
+under CPython 3.11; total_s - walk_s reads 0.24 s at order 9 and 2.2-2.4 s
 at order 10.
 
     PYTHONPATH=src python3 scripts/walk_above_cap.py [--orders 7 8 9]

@@ -21,8 +21,8 @@ the constructions' tables from the v they state, the enumeration kernel
 expands each map v it keeps, and verify() passes a table exactly where it
 is the expansion of its own row 1 and that is a hyperfield, and otherwise
 decides CH1, CH5 and KR3 from the rows where the two differ.  A candidate
-that expand_one_row() returned is marked as its own expansion, so verify()
-reads E off it, and a construction builds E once.
+of tables _expand() built, expand_one_row()'s or an enumeration survivor, is
+marked as its own expansion, so verify() reads E off it and builds no E.
 """
 
 from __future__ import annotations
@@ -131,8 +131,8 @@ class HyperfieldCandidate:
     valid: construction (and dataclasses.replace) raises StructuralError
     unless n >= 2 and both tables are n x n, of int cells 0 < m < 2^n and
     products in 0..n-1.  zero is index 0 and one index 1 by convention.
-    expanded, set by expand_one_row() alone, marks the candidates it
-    returns; copies and replace() are unmarked, and it is never compared.
+    expanded, set by _expansion_candidate() alone, marks the tables that
+    _expand() built; copies and replace() are unmarked, and it is never compared.
     """
 
     n: int
@@ -547,7 +547,7 @@ class _Table:
     the axiom checks share, each computed at most once.  suspects is 0
     exactly where all ten hold, and CH1, CH5 and KR3 are decided from it.
     misses holds the distributivity fact of each map asked of _miss(), and
-    expanded is the mark of a candidate that expand_one_row() returned."""
+    expanded is the mark of a candidate that _expansion_candidate() built."""
 
     def __init__(self, n, hyperadd, mul, expanded=False):
         self.n, self.hyperadd, self.rows, self.misses = n, hyperadd, mul, {}
@@ -568,8 +568,9 @@ class _Table:
         """E, the expansion of hyperadd's own row 1 by the scaling identity,
         or None where mul is not a commutative group with zero (Light's test
         passes, rows equal columns, every x != 0 has an inverse).  A table
-        marked expanded is its own E: under those conditions expand_one_row()
-        built it from this mul, these inverses and row 1 exactly as here."""
+        marked expanded is its own E: under those conditions _expand() built
+        it from this mul, these inverses and row 1, as expand_one_row() and
+        the enumeration kernel do, and each x . v(z) is the image here."""
         rows, inv = t.rows, t.inv
         if not (t.associative and rows == t.cols and all(inv[1:])):
             return None
@@ -908,7 +909,13 @@ def expand_one_row(mul_table, nu: OneRowMap) -> HyperfieldCandidate:
     inv = inverses(n, mul)
     if any(inv[x] == 0 for x in range(1, n)):
         raise StructuralError("nonzero part of mul_table is not a group")
-    c = HyperfieldCandidate(n, _expand(n, mul, inv, *_row_scalars(zip(*mul), nu.masks)), mul)
+    return _expansion_candidate(n, _expand(n, mul, inv, *_row_scalars(zip(*mul), nu.masks)), mul)
+
+
+def _expansion_candidate(n, hyperadd, mul) -> HyperfieldCandidate:
+    """The candidate of tables that _expand() built from mul, inverses(n,
+    mul) and hyperadd's own row 1, marked as its own expansion."""
+    c = HyperfieldCandidate(n, hyperadd, mul)
     object.__setattr__(c, "expanded", True)
     return c
 

@@ -42,10 +42,11 @@ chosen:
 
 So each survivor is its own class and the least map of its orbit, which
 is the key of iso.fingerprint: survivors need no isomorphism search, only
-verification, which derives a group's multiplication facts once for all
-its survivors and passes each, the expansion of its own row 1, on its
-suspect rows alone with no axiom scan, and the fingerprint's order of the
-groups, so the result is byte-identical across runs and worker counts.
+verification.  The parent marks each as the expansion of its own row 1,
+which it is, so verify() builds no E; it derives a group's multiplication
+facts once for all its survivors and passes each on its suspect rows alone
+with no axiom scan.  They come in key order within the fingerprint's order
+of the groups, so the result is byte-identical across runs and worker counts.
 The budget is checked during the scan and again before and after
 verification.
 """
@@ -63,10 +64,10 @@ from typing import NamedTuple, Optional
 
 from .core import (  # bench/spans.py wraps _expand and ch5_violation here, and ch1_violation
     Hyperfield,
-    HyperfieldCandidate,
     _Bits,
     _ch5_scan as ch5_violation,  # unused here: bound for bench/spans.py alone
     _expand,
+    _expansion_candidate,
     group_isomorphisms,
     inverses,
     slot_keys,
@@ -308,12 +309,12 @@ def enumerate_hyperfields(n: int, options: Optional[SearchOptions] = None) -> li
     if type(n) is not int or not 2 <= n <= MAX_ENUM_ORDER:
         raise CapacityError(f"enumeration supports orders 2..{MAX_ENUM_ORDER}")
     options = options or SearchOptions()
-    if options.jobs < 1:
+    if type(options.jobs) is not int or options.jobs < 1:
         raise DomainError(f"jobs must be at least 1, got {options.jobs}")
-    if options.progress_interval < 0:
+    if type(options.progress_interval) is not int or options.progress_interval < 0:
         raise DomainError(f"progress interval must be at least 0, got {options.progress_interval}")
     budget = options.budget_seconds
-    if budget is not None and not 0 < budget < math.inf:
+    if budget is not None and (type(budget) not in (int, float) or not 0 < budget < math.inf):
         raise DomainError(f"budget must be a positive finite number of seconds, got {budget}")
     start = time.monotonic()
     deadline = start + budget if budget is not None else None
@@ -348,6 +349,6 @@ def enumerate_hyperfields(n: int, options: Optional[SearchOptions] = None) -> li
                                       scanned=scanned, survivors=len(survivors))
 
     check_budget()
-    classes = [verified(HyperfieldCandidate(n, hyperadd, mul)) for hyperadd, mul in survivors]
+    classes = [verified(_expansion_candidate(n, hyperadd, mul)) for hyperadd, mul in survivors]
     check_budget()
     return classes

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import chain, product as iproduct
 
-from .core import AxiomReport, AxiomResult, element_orders
+from .core import AxiomReport, AxiomResult, _check_entries, element_orders
 from .errors import CapacityError, DomainError, StructuralError
 
 MAX_EXTENSION_DEGREE = 8
@@ -39,8 +39,8 @@ MAX_FIELD_ORDER = 6561
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial division, adequate for desk-scale inputs."""
-    if n < 2:
+    """Deterministic trial division, adequate for desk-scale inputs; False for a non-int."""
+    if type(n) is not int or n < 2:
         return False
     if n < 4:
         return True
@@ -64,7 +64,7 @@ class PrimePower:
     def __post_init__(self):
         if not is_prime(self.p):
             raise DomainError(f"{self.p} is not prime")
-        if self.k < 1:
+        if type(self.k) is not int or self.k < 1:
             raise DomainError(f"exponent must be >= 1, got {self.k}")
 
     @property
@@ -174,10 +174,12 @@ class FieldTable:
 
     def neg(self, a: int) -> int:
         """Additive inverse of a."""
+        _check_entries(((a,),), 0, self.q, "element index out of range")
         return self.add[a].index(0)
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse of nonzero a."""
+        _check_entries(((a,),), 0, self.q, "element index out of range")
         if a == 0:
             raise DomainError("0 has no multiplicative inverse")
         return self.mul[a].index(1)

@@ -10,6 +10,7 @@ from hyperfields import (
     DomainError,
     ElementSet,
     HyperfieldCandidate,
+    SearchOptions,
     StructuralError,
     abelian_groups,
     candidate_from_document,
@@ -295,10 +296,11 @@ UNMARKED = {
 
 
 class TestExpansionMark:
-    """expand_one_row() marks the candidate it returns as its own expansion
-    E, and verify() reads E off a marked candidate: a construction builds E
-    once, every other candidate builds its own, and nothing is left in the
-    module for a later call."""
+    """expand_one_row() and enumeration mark the candidates they return as
+    their own expansion E, and verify() reads E off a marked candidate: a
+    construction builds E once, enumeration's verification builds none,
+    every other candidate builds its own, and nothing is left in the module
+    for a later call."""
 
     @staticmethod
     def counted_row_scalars(monkeypatch):
@@ -323,9 +325,10 @@ class TestExpansionMark:
         assert verify(fresh).ok
         assert len(calls) == 1
 
-    def test_only_what_expand_one_row_returns_is_marked(self):
+    def test_only_what_expand_one_row_returns_and_enumeration_keeps_is_marked(self):
         marked = [build() for build in MARKED.values()]
         marked += [build().candidate for build in CONSTRUCTIONS.values()]
+        marked += [h.candidate for h in enumerate_hyperfields(5)]
         assert all(c.expanded for c in marked)
         c = marked[0]
         unmarked = [build(c) for build in UNMARKED.values()] + [
@@ -337,9 +340,23 @@ class TestExpansionMark:
             candidate_from_document(parse_document(render_document(to_document(c)))),
             product_candidate(massouros(gf(3)), pair_hyperfield(3)),
             from_field(gf(5)).candidate,
-            *(h.candidate for h in enumerate_hyperfields(5)),
         ]
         assert not any(u.expanded for u in unmarked)
+
+    @pytest.mark.parametrize("n, jobs", [(4, 1), (5, 1), (6, 1), (4, 2)])
+    def test_enumeration_verifies_its_survivors_building_no_expansion(self, monkeypatch,
+                                                                      n, jobs):
+        calls = self.counted_row_scalars(monkeypatch)
+        assert enumerate_hyperfields(n, SearchOptions(jobs=jobs)) and calls == []
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_each_survivor_is_the_expansion_of_its_unmarked_copy(self, n):
+        for h in enumerate_hyperfields(n):
+            c = h.candidate
+            copy = HyperfieldCandidate(n, c.hyperadd, c.mul)
+            assert c.expanded and not copy.expanded
+            assert c.hyperadd == core._Table(n, copy.hyperadd, copy.mul).expansion
+            assert verify(c) == verify(copy) == core._PASSED
 
     def test_the_mark_is_not_part_of_the_value(self):
         c = MARKED["massouros5"]()

@@ -625,6 +625,24 @@ class TestWorkerPool:
             enumerate_hyperfields(3, SearchOptions(jobs=2, progress_interval=-3))
         assert pool_sizes == []
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("jobs", 1.5, "jobs must be"), ("jobs", True, "jobs must be"), ("jobs", "2", "jobs must be"),
+        ("progress_interval", "1", "progress interval"),
+        ("progress_interval", 1.0, "progress interval"),
+        ("progress_interval", False, "progress interval"),
+        ("budget_seconds", "1", "budget must be"), ("budget_seconds", True, "budget must be"),
+    ])
+    def test_an_option_of_the_wrong_type_is_a_domain_error(self, pool_sizes, monkeypatch,
+                                                          field, value, message):
+        monkeypatch.setattr(enumeration, "_shards", _must_not_run)
+        with pytest.raises(DomainError, match=message):
+            enumerate_hyperfields(3, SearchOptions(**{"jobs": 2, field: value}))
+        assert pool_sizes == []
+
+    def test_a_budget_may_be_an_int(self, pool_sizes):
+        assert len(enumerate_hyperfields(3, SearchOptions(jobs=2, budget_seconds=60))) == 5
+        assert pool_sizes == [2]
+
 
 class TestNaiveOracle:
     """End-to-end validation of the one-row reduction: enumerate raw tables

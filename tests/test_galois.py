@@ -17,6 +17,7 @@ from hyperfields import (
     gf,
     verify_field,
 )
+from hyperfields.galois import is_prime
 
 SMALL_PRIME_POWERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3),
                       (3, 2), (11, 1), (13, 1), (2, 4)]  # every p**k <= 16
@@ -152,6 +153,32 @@ class TestGf:
             assert f.mul[a][f.inv(a)] == 1
         with pytest.raises(DomainError):
             f.inv(0)
+
+
+# An argument of the wrong type or out of range: (call, error, message), or
+# (call, None, None) for a call that must return False.
+OFF_ARGUMENTS = {
+    "inv(-1)": (lambda: gf(5).inv(-1), StructuralError, "element index out of range"),
+    "inv(True)": (lambda: gf(5).inv(True), StructuralError, "element index out of range"),
+    "neg(-1)": (lambda: gf(5).neg(-1), StructuralError, "element index out of range"),
+    "neg(5)": (lambda: gf(5).neg(5), StructuralError, "element index out of range"),
+    "neg(1.0)": (lambda: gf(5).neg(1.0), StructuralError, "element index out of range"),
+    "PrimePower(2.0, 1)": (lambda: PrimePower(2.0, 1), DomainError, "is not prime"),
+    "PrimePower(2, True)": (lambda: PrimePower(2, True), DomainError, "exponent must be"),
+    "PrimePower(2, 1.0)": (lambda: PrimePower(2, 1.0), DomainError, "exponent must be"),
+    "is_prime(2.0)": (lambda: is_prime(2.0), None, None),
+    "is_prime(7.0)": (lambda: is_prime(7.0), None, None),
+}
+
+
+@pytest.mark.parametrize("name", OFF_ARGUMENTS)
+def test_an_argument_off_type_or_range_is_refused(name):
+    call, error, message = OFF_ARGUMENTS[name]
+    if error is None:
+        assert call() is False
+    else:
+        with pytest.raises(error, match=message):
+            call()
 
 
 # --- an oracle for GF(p^k) by polynomial arithmetic: it shares no code with gf

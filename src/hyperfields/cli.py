@@ -196,16 +196,16 @@ def cmd_verify(args) -> int:
 def cmd_enumerate(args) -> int:
     options = SearchOptions(jobs=args.jobs, progress_interval=args.progress,
                             budget_seconds=args.budget)
-    classes = enumerate_hyperfields(args.order, options)
-    print(len(classes))
-    if args.out:
-        outdir = Path(args.out)
+    outdir = args.out and Path(args.out)
+    if outdir:  # before the search, so a DIR that cannot be made fails fast
         outdir.mkdir(parents=True, exist_ok=True)
-        for h in classes:
-            digest = hashlib.sha256(repr(fingerprint(h)).encode()).hexdigest()[:12]
-            name = f"order{args.order}_{digest}.json"
-            (outdir / name).write_text(render_document(to_document(h.candidate)),
-                                       encoding="utf-8")
+    classes = enumerate_hyperfields(args.order, options)
+    for h in classes if outdir else ():
+        digest = hashlib.sha256(repr(fingerprint(h)).encode()).hexdigest()[:12]
+        name = f"order{args.order}_{digest}.json"
+        (outdir / name).write_text(render_document(to_document(h.candidate)),
+                                   encoding="utf-8")
+    print(len(classes))
     return 0
 
 

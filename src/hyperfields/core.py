@@ -37,18 +37,10 @@ from typing import Iterable, Iterator, Optional
 from .errors import AxiomViolationError, DomainError, PreconditionError, StructuralError
 
 
-def iter_bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _bits(mask: int) -> tuple[int, ...]:
-    """tuple(iter_bits(mask)), built from a list: a tuple grown from a
-    generator is resized, which moves it between the interpreter's per-size
-    free lists and so counts toward the next cyclic collection."""
+    """Indices of the set bits, ascending, built from a list: a tuple grown
+    from a generator is resized, which moves it between the interpreter's
+    per-size free lists and so counts toward the next cyclic collection."""
     bits = []
     while mask:
         low = mask & -mask
@@ -112,7 +104,7 @@ class ElementSet:
         return type(i) is int and 0 <= i < self.n and bool(self.mask >> i & 1)
 
     def __iter__(self) -> Iterator[int]:
-        return iter_bits(self.mask)
+        return iter(self.members)
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -132,7 +124,7 @@ class HyperfieldCandidate:
     unless n >= 2 and both tables are n x n, of int cells 0 < m < 2^n and
     products in 0..n-1.  zero is index 0 and one index 1 by convention.
     expanded, set by _expansion_candidate() alone, marks the tables that
-    _expand() built; copies and replace() are unmarked, and it is never compared.
+    _expand() built; copies keep it, replace() drops it, it is never compared.
     """
 
     n: int
@@ -531,8 +523,8 @@ def _mul_facts(n, rows):
     test on each greedy generator in turn, given the identity and the
     absorbing zero: the generators and 0 span the carrier, so the test
     decides KR1.  It stops at the first generator that fails.  The one
-    entry serves each run of tables with equal rows, such as the survivors
-    of one group that enumeration verifies."""
+    entry serves each run of tables with equal rows: the survivors of one
+    group that enumeration verifies, or a construction's expansion."""
     cols = tuple(zip(*rows))
     neutral = not any(rows[0]) and not any(cols[0]), rows[1] == cols[1] == tuple(range(n))
     # (x.s).y against x.(s.y) over y
@@ -545,18 +537,15 @@ class _Table:
     """One verify() call's view of a table, given a candidate's tuple rows:
     n, hyperadd, the rows of mul, the facts of _mul_facts(), and the facts
     the axiom checks share, each computed at most once.  suspects is 0
-    exactly where all ten hold, and CH1, CH5 and KR3 are decided from it.
-    misses holds the distributivity fact of each map asked of _miss(), and
-    expanded is the mark of a candidate that _expansion_candidate() built."""
+    exactly where all ten hold, and CH1, CH5 and KR3 are decided from it,
+    reading each mask's members through bits alone.  misses holds the
+    distributivity fact of each map asked of _miss(), and expanded is the
+    mark of a candidate that _expansion_candidate() built."""
 
     def __init__(self, n, hyperadd, mul, expanded=False):
         self.n, self.hyperadd, self.rows, self.misses = n, hyperadd, mul, {}
         self.expanded = expanded
         self.cols, self.neutral, self.associative, self.inv = _mul_facts(n, mul)
-
-    @_fact
-    def members(t):
-        return _members(t.hyperadd)
 
     @_fact
     def partners(t):
@@ -594,10 +583,10 @@ class _Table:
 
     @_fact
     def bits(t):
-        """Mask -> its members, for the cells the scans read: members where
-        every row is a suspect, as the scans then read every row, else each
-        mask decoded on its first read."""
-        return t.members if t.suspects == (1 << t.n) - 1 else _Bits()
+        """Mask -> its members, for the cells the scans read: every mask of
+        the table, decoded at once where every row is a suspect, as the
+        scans then read every row, else each mask on its first read."""
+        return _members(t.hyperadd) if t.suspects == (1 << t.n) - 1 else _Bits()
 
     @_fact
     def leaders(t):
@@ -657,9 +646,9 @@ def _find_miss(t, s):
 def _bits_of_rows(t, ys):
     """bits for the masks in the rows ys of hyperadd, which are every row
     where every row is a suspect."""
-    if t.suspects == (1 << t.n) - 1:
-        return t.members
     bits = t.bits
+    if t.suspects == (1 << t.n) - 1:
+        return bits
     return {m: bits[m] for m in set(chain.from_iterable(map(t.hyperadd.__getitem__, ys)))}
 
 
@@ -730,13 +719,13 @@ def ch4_violation(t):
 
 def _ch5_scan(t, xs):
     """The first CH5 violation with x in xs."""
-    hyperadd = t.hyperadd
+    hyperadd, bits = t.hyperadd, t.bits
     opp = [p[0] if len(p) == 1 else None for p in t.partners]
     for x in xs:
         xo, hx = opp[x], hyperadd[x]
         for y in _sum_ys(t, x, (x, xo)):
             yo = opp[y]
-            for z in iter_bits(hx[y]):
+            for z in bits[hx[y]]:
                 if xo is None or yo is None:
                     return (x, y, z), "opposite undefined"
                 if not hyperadd[xo][z] >> y & 1:
@@ -899,17 +888,18 @@ def expand_one_row(mul_table, nu: OneRowMap) -> HyperfieldCandidate:
     group with identity 1, such as a field's or one from abelian_groups().
     The result may still fail verify(): only distributivity-derived
     structure is built in.  Costs O(n^2) on rows of bounded cell size.
-    The result is marked expanded, so verify() reads its E off it.
+    Its columns and inverses come from _mul_facts(), as verify()'s do, and
+    the result is marked expanded, so verify() reads its E off it.
     """
     n = nu.n
     mul = _tuple(mul_table, tuple)
     if len(mul) != n or any(len(r) != n for r in mul):
         raise StructuralError("multiplication table must be n x n")
     _check_entries(mul, 0, n, "multiplication entry out of range")  # as a candidate's
-    inv = inverses(n, mul)
+    cols, _, _, inv = _mul_facts(n, mul)
     if any(inv[x] == 0 for x in range(1, n)):
         raise StructuralError("nonzero part of mul_table is not a group")
-    return _expansion_candidate(n, _expand(n, mul, inv, *_row_scalars(zip(*mul), nu.masks)), mul)
+    return _expansion_candidate(n, _expand(n, mul, inv, *_row_scalars(cols, nu.masks)), mul)
 
 
 def _expansion_candidate(n, hyperadd, mul) -> HyperfieldCandidate:

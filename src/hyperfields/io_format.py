@@ -32,7 +32,7 @@ from itertools import chain, islice, repeat
 from operator import itemgetter, lt
 from typing import Optional
 
-from .core import Hyperfield, HyperfieldCandidate, _members
+from .core import Hyperfield, HyperfieldCandidate, _members, _tuple
 from .errors import DomainError, HyperfieldError
 
 FORMAT_VERSION = 1
@@ -91,7 +91,7 @@ def _with_labels(c, labels):
     if isinstance(c, Hyperfield):
         c = c.candidate
     if labels is not None:
-        labels = tuple(str(x) for x in labels)
+        labels = _tuple(labels, str)  # () where labels is not a collection
         if len(labels) != c.n:
             raise DomainError(f"expected {c.n} labels, got {len(labels)}")
     return c, labels
@@ -99,6 +99,8 @@ def _with_labels(c, labels):
 
 def to_document(c, labels=None, metadata: Optional[str] = None) -> HyperfieldDocument:
     """Snapshot a candidate or verified hyperfield as a document."""
+    if metadata is not None and not isinstance(metadata, str):
+        raise DomainError("metadata must be a string")
     c, labels = _with_labels(c, labels)
     return HyperfieldDocument(FORMAT_VERSION, c.n, c.mul, c.hyperadd, labels, metadata)
 

@@ -300,6 +300,30 @@ class TestEnumerate:
         assert "not allowed with argument" in err
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "under-a-file"])
+    def test_out_that_cannot_be_a_directory_fails_before_the_search(
+            self, capsys, monkeypatch, tmp_path, below):
+        def no_search(*args, **kwargs):
+            raise AssertionError("DIR must be made before the search")
+
+        monkeypatch.setattr("hyperfields.cli.enumerate_hyperfields", no_search)
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory", encoding="utf-8")
+        outdir = taken / "x" if below else taken
+        code, out, err = run_cli(capsys, "enumerate", "--order", "3", "--out", str(outdir))
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+        assert taken.read_text(encoding="utf-8") == "not a directory"
+
+    def test_budget_exceeded_with_out_leaves_an_empty_dir(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(enumeration, "time", SteppingClock(1.0))
+        outdir = tmp_path / "classes"
+        code, out, err = run_cli(capsys, "enumerate", "--order", "5", "--budget", "0.5",
+                                 "--out", str(outdir))
+        assert code == 3 and out == ""
+        assert "budget exceeded" in err
+        assert list(outdir.iterdir()) == []
+
     def test_unsupported_order(self, capsys):
         assert run_cli(capsys, "enumerate", "--order", "7")[0] == 3
 

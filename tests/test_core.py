@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from collections import Counter
 from dataclasses import replace
@@ -231,16 +233,15 @@ def test_one_row_map_holds_its_masks_as_a_tuple():
     assert hash(nu) == hash(core.OneRowMap(3, (2, 4, 1)))
 
 
-def test_bits_decodes_as_iter_bits():
-    """core._bits against iter_bits and against the binary digits of the
-    mask, on 0, 1, each power of two, all-ones masks and random masks of up
-    to 1,100 bits."""
+def test_bits_decodes_as_binary_digits():
+    """core._bits against the binary digits of the mask, on 0, 1, each
+    power of two, all-ones masks and random masks of up to 1,100 bits."""
     rng = random.Random(1100)
     masks = [0, 1, *(1 << k for k in range(1100)), *((1 << k) - 1 for k in range(1, 1101, 37)),
              (1 << 1100) - 1, *(rng.getrandbits(rng.randint(1, 1100)) for _ in range(200))]
     for m in masks:
         digits = tuple(i for i, d in enumerate(reversed(bin(m)[2:])) if d == "1")
-        assert core._bits(m) == tuple(core.iter_bits(m)) == digits, m
+        assert core._bits(m) == digits, m
 
 
 CONSTRUCTIONS = {
@@ -324,6 +325,44 @@ class TestExpansionMark:
         fresh = HyperfieldCandidate(h.n, list(map(list, h.hyperadd)), list(map(list, h.mul)))
         assert verify(fresh).ok
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", CONSTRUCTIONS)
+    def test_a_construction_derives_its_group_facts_once(self, monkeypatch, name):
+        """Counts, not timings.  expand_one_row() takes the inverses and
+        columns of mul from core._mul_facts, and the verify() that follows
+        finds that entry: one inverses() call, one miss and one hit."""
+        build = CONSTRUCTIONS[name]
+        build()  # the fields and subgroups, which may be cached
+        calls = []
+        real = core.inverses
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(core, "inverses", counting)
+        core._mul_facts.cache_clear()
+        assert build().candidate.expanded
+        assert len(calls) == 1
+        assert core._mul_facts.cache_info()[:2] == (1, 1)  # (hits, misses)
+
+    @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy,
+                                           lambda c: pickle.loads(pickle.dumps(c))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_a_copy_keeps_the_mark(self, monkeypatch, duplicate):
+        """A copy holds the same tables, so reading E off it is sound: copies
+        of constructions, of enumeration classes and of the marked tables
+        that fail stay marked, build no E, and report as an unmarked rebuild
+        does."""
+        marked = [build().candidate for build in CONSTRUCTIONS.values()]
+        marked += [h.candidate for h in enumerate_hyperfields(4)]
+        marked += [build() for build in MARKED.values()]
+        want = [verify(HyperfieldCandidate(c.n, c.hyperadd, c.mul)) for c in marked]
+        assert not all(r.ok for r in want)
+        copies = list(map(duplicate, marked))
+        calls = self.counted_row_scalars(monkeypatch)
+        assert copies == marked and all(c.expanded for c in copies)
+        assert list(map(verify, copies)) == want
+        assert calls == []
 
     def test_only_what_expand_one_row_returns_and_enumeration_keeps_is_marked(self):
         marked = [build() for build in MARKED.values()]

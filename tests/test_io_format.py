@@ -3,6 +3,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hyperfields import (
     DocumentError,
@@ -46,6 +47,16 @@ c | 0 | c | 1 | a | b
 """
 
 
+FIVE = five_element_candidate()
+LABELS = st.one_of(st.none(), st.integers(), st.booleans(), st.floats(), st.text(max_size=6),
+                   st.lists(st.one_of(st.text(max_size=3), st.integers(), st.none()), max_size=6),
+                   st.lists(st.text(max_size=3), min_size=5, max_size=5),
+                   st.dictionaries(st.text(max_size=2), st.integers(), max_size=6))
+METADATA = st.one_of(st.none(), st.text(), st.integers(), st.booleans(), st.binary(max_size=3),
+                     st.lists(st.text(max_size=3), max_size=2),
+                     st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+
 def doc_text(candidate, **kwargs):
     return render_document(to_document(candidate, **kwargs))
 
@@ -73,6 +84,36 @@ class TestRoundTrip:
 
     def test_rendering_is_deterministic(self, five_candidate):
         assert doc_text(five_candidate) == doc_text(five_candidate)
+
+    @given(LABELS, METADATA)
+    def test_every_document_to_document_accepts_renders_back(self, labels, metadata):
+        """Whatever to_document() accepts renders to text that parses and
+        renders back to the same text; whatever it refuses, it refuses with
+        DomainError: labels that are no collection of five, metadata that is
+        no string."""
+        labels_ok = labels is None or isinstance(labels, (str, list, dict)) and len(labels) == 5
+        metadata_ok = metadata is None or isinstance(metadata, str)
+        try:
+            doc = to_document(FIVE, labels=labels, metadata=metadata)
+        except DomainError:
+            assert not (labels_ok and metadata_ok)
+            return
+        assert labels_ok and metadata_ok
+        text = render_document(doc)
+        assert render_document(parse_document(text)) == text
+        assert parse_document(text).metadata == metadata
+
+    @pytest.mark.parametrize("metadata", [5, ["x"], {"a": 1}, True, b"x", 1.5])
+    def test_metadata_that_is_not_a_string_is_refused(self, metadata):
+        with pytest.raises(DomainError, match="metadata must be a string"):
+            to_document(FIVE, metadata=metadata)
+
+    @pytest.mark.parametrize("labels", [5, True, 1.5, object()])
+    def test_labels_that_are_not_a_collection_are_refused(self, labels):
+        with pytest.raises(DomainError, match="expected 5 labels, got 0"):
+            to_document(FIVE, labels=labels)
+        with pytest.raises(DomainError, match="expected 5 labels, got 0"):
+            pretty_table(FIVE, labels)
 
 
 # Masks repeat across the cells of the triple-sum table and are mostly

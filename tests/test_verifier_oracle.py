@@ -49,7 +49,6 @@ from hyperfields import (
     verify,
 )
 from hyperfields import core
-from hyperfields.core import iter_bits
 from hyperfields.enumeration import _scalar_tables
 from conftest import all_subgroups, five_element_candidate
 
@@ -348,11 +347,15 @@ def test_corrupted_tables_agree_with_the_oracles(c):
 # --- the scans narrowed to the rows that leave E ---------------------------
 
 
-def with_members_unbuilt(monkeypatch):
-    """Make the table-wide members fact fail on its first build."""
-    def refused(t):
-        raise AssertionError("the members of every mask were decoded")
-    monkeypatch.setattr(vars(core._Table)["members"], "compute", refused)
+def with_members_unbuilt(monkeypatch, n):
+    """Make core._members fail when asked for the members of a whole table."""
+    real = core._members
+
+    def refused(rows):
+        if len(rows) == n:
+            raise AssertionError("the members of every mask were decoded")
+        return real(rows)
+    monkeypatch.setattr(core, "_members", refused)
 
 
 @pytest.mark.parametrize("h, row", [(pair_hyperfield(40), 20), (massouros(gf(2, 6)), 32)],
@@ -367,8 +370,57 @@ def test_one_cell_corruption_scans_from_its_row(h, row, monkeypatch):
     added = next(w for w in range(n - 1, -1, -1) if not cell >> w & 1)
     bad = with_cells(c, add_cells=[((row, 5), cell | 1 << added)])
     assert core._Table(n, bad.hyperadd, bad.mul).suspects == 1 << row
-    with_members_unbuilt(monkeypatch)
+    with_members_unbuilt(monkeypatch, n)
     assert assert_matches_oracles(bad).failures()
+
+
+def decodes_in_checks(monkeypatch):
+    """Count the core._bits calls by mask while an axiom check of verify()
+    runs, where the CH1, CH5 and KR3 scans decode masks."""
+    counts, checking = Counter(), []
+    real = core._bits
+
+    def counting(m):
+        if checking:
+            counts[m] += 1
+        return real(m)
+
+    def counted(check):
+        def wrapper(t):
+            checking.append(check)
+            try:
+                return check(t)
+            finally:
+                checking.pop()
+        return wrapper
+    monkeypatch.setattr(core, "_bits", counting)
+    monkeypatch.setattr(core, "AXIOM_CHECKS", tuple(
+        (code, counted(check)) for code, check in core.AXIOM_CHECKS))
+    return counts
+
+
+@pytest.mark.parametrize("h, add_row, mul_row", [(pair_hyperfield(40), 20, None),
+                                                 (massouros(gf(2, 6)), 32, None),
+                                                 (pair_hyperfield(40), None, 20)],
+                         ids=["pair40-add", "massouros64-add", "pair40-mul"])
+def test_the_scans_decode_each_mask_once(h, add_row, mul_row, monkeypatch):
+    """Counts, not timings.  One hyperadd cell gains an element, or one
+    product moves, which makes every row a suspect: the scans read each
+    cell's members through the view's one memo, so no mask is decoded
+    twice, and the report is the oracles'."""
+    c = h.candidate
+    n = c.n
+    if add_row is not None:
+        cell = c.hyperadd[add_row][5]
+        added = next(w for w in range(n - 1, -1, -1) if not cell >> w & 1)
+        bad = with_cells(c, add_cells=[((add_row, 5), cell | 1 << added)])
+    else:
+        bad = with_cells(c, mul_cells=[((mul_row, 3), c.mul[mul_row][3] % (n - 1) + 1)])
+    suspects = core._Table(n, bad.hyperadd, bad.mul).suspects
+    assert suspects == (every_row(n) if add_row is None else 1 << add_row)
+    counts = decodes_in_checks(monkeypatch)
+    assert not assert_matches_oracles(bad).ok
+    assert counts and max(counts.values()) == 1
 
 
 def test_corruptions_that_leave_no_hyperfield_expansion_have_no_suspects():
@@ -434,7 +486,7 @@ def seeded_corruptions(c, rng):
     yield [toggled(x, opp, 0)]
     x = c.hyperadd[1].index(next(m for m in c.hyperadd[1] if m & 1))  # the row CH5 at 1 reads
     y = rng.choice([y for y, m in enumerate(c.hyperadd[x]) if m.bit_count() > 1])
-    yield [toggled(x, y, rng.choice(list(iter_bits(c.hyperadd[x][y]))))]
+    yield [toggled(x, y, rng.choice(core._bits(c.hyperadd[x][y])))]
     yield [toggled(some(), some(), some()) for _ in range(rng.choice((2, 3)))]
 
 

@@ -9,9 +9,9 @@ never a hyperfield (the axes carry zero divisors), so product() always
 surfaces that verification failure; hyperfield_of_order() consequently
 synthesizes non-prime-power orders from the pair hyperfield instead.
 
-The quotient, triple-sum and pair hyperfields each state their
-multiplication and their row v(z) = 1(+)z, and core.expand_one_row()
-builds the rest of the hyperaddition from v by the scaling identity.
+Every construction but the product states its multiplication and its row
+v(z) = 1(+)z, and core.expand_one_row() builds the rest of the
+hyperaddition from v by the scaling identity.
 
 Every construction verifies its result before returning and raises
 ConstructionError otherwise, so a returned value is a guarantee, not a
@@ -49,9 +49,9 @@ def _verify_or_raise(c: HyperfieldCandidate, what: str) -> Hyperfield:
 
 
 def from_field(f: FieldTable) -> Hyperfield:
-    """A field is a hyperfield with singleton sums a(+)b = {a+b}."""
-    hyperadd = tuple(tuple(1 << v for v in row) for row in f.add)
-    return _verify_or_raise(HyperfieldCandidate(f.q, hyperadd, f.mul),
+    """A field is a hyperfield with row v(z) = {1+z}: x.v(x^-1 y) = {x+y}."""
+    v = tuple(1 << s for s in f.add[1])
+    return _verify_or_raise(expand_one_row(f.mul, OneRowMap(f.q, v)),
                             f"field-as-hyperfield of order {f.q}")
 
 
@@ -77,7 +77,10 @@ class SubgroupSpec:
 
 def subgroup_closure(f: FieldTable, gens) -> SubgroupSpec:
     """Smallest multiplicatively closed subset containing 1 and the generators."""
-    gens = tuple(gens)
+    try:
+        gens = tuple(gens)
+    except TypeError:
+        raise DomainError("generators must be an iterable of field elements") from None
     for g in gens:
         if g == 0:
             raise DomainError("0 cannot generate a multiplicative subgroup")
@@ -105,8 +108,8 @@ def quotient(f: FieldTable, g: SubgroupSpec) -> Hyperfield:
     # v(j) = the cosets that meet G + rG, r = reps[j].  G + rg = g.(G + r)
     # meets the same cosets as G + r, so r alone will do.
     v = tuple(mask_of(coset_of[f.add[u][r]] for u in g.closure) for r in reps)
-    c = expand_one_row(mul, OneRowMap(n, v))
-    return _verify_or_raise(c, f"quotient of GF({q}) by subgroup of size {len(g.closure)}")
+    return _verify_or_raise(expand_one_row(mul, OneRowMap(n, v)),
+                            f"quotient of GF({q}) by subgroup of size {len(g.closure)}")
 
 
 def massouros(f: FieldTable) -> Hyperfield:
@@ -118,8 +121,8 @@ def massouros(f: FieldTable) -> Hyperfield:
     minus_one = f.neg(1)
     v = [1 << 1] + [(1 << q) - 1 if z == minus_one else 1 << 1 | 1 << z | 1 << f.add[1][z]
                     for z in range(1, q)]
-    c = expand_one_row(f.mul, OneRowMap(q, tuple(v)))
-    return _verify_or_raise(c, f"triple-sum hyperfield on GF({q})")
+    return _verify_or_raise(expand_one_row(f.mul, OneRowMap(q, tuple(v))),
+                            f"triple-sum hyperfield on GF({q})")
 
 
 def product_candidate(h1: Hyperfield, h2: Hyperfield) -> HyperfieldCandidate:
@@ -157,8 +160,7 @@ def product(h1: Hyperfield, h2: Hyperfield) -> Hyperfield:
     zero-divisor witness on an axis pair -- that failure is a theorem, not
     a bug, and the verifier is the instrument that exhibits it.
     """
-    c = product_candidate(h1, h2)
-    return _verify_or_raise(c, f"product of orders {h1.n} and {h2.n}")
+    return _verify_or_raise(product_candidate(h1, h2), f"product of orders {h1.n} and {h2.n}")
 
 
 def pair_hyperfield(n: int) -> Hyperfield:
@@ -172,8 +174,8 @@ def pair_hyperfield(n: int) -> Hyperfield:
     m = n - 1
     mul = [[0] * n] + [[0] + [(x + y) % m + 1 for y in range(m)] for x in range(m)]
     v = [1 << 1, (1 << n) - 1] + [1 << 1 | 1 << z for z in range(2, n)]
-    c = expand_one_row(mul, OneRowMap(n, tuple(v)))
-    return _verify_or_raise(c, f"pair hyperfield of order {n}")
+    return _verify_or_raise(expand_one_row(mul, OneRowMap(n, tuple(v))),
+                            f"pair hyperfield of order {n}")
 
 
 def construction_of_order(n: int) -> str:

@@ -518,19 +518,20 @@ class _fact:
 @lru_cache(maxsize=1)
 def _mul_facts(n, rows):
     """The facts of a table that read its multiplication alone, given as
-    rows of tuples: (cols, neutral, associative, inv).  neutral is (0 is
-    two-sided absorbing, 1 is a two-sided identity); associative is Light's
-    test on each greedy generator in turn, given the identity and the
-    absorbing zero: the generators and 0 span the carrier, so the test
-    decides KR1.  It stops at the first generator that fails.  The one
-    entry serves each run of tables with equal rows: the survivors of one
-    group that enumeration verifies, or a construction's expansion."""
+    rows of tuples: (cols, neutral, associative, inv, group).  neutral is (0
+    is two-sided absorbing, 1 is a two-sided identity); associative is
+    Light's test on each greedy generator in turn, given the identity and
+    the absorbing zero, which decides KR1; it stops at the first generator
+    that fails.  group: mul is a commutative group with zero.  The one entry
+    serves each run of tables with equal rows: the survivors of one group
+    that enumeration verifies, or a construction's expansion."""
     cols = tuple(zip(*rows))
     neutral = not any(rows[0]) and not any(cols[0]), rows[1] == cols[1] == tuple(range(n))
     # (x.s).y against x.(s.y) over y
     associative = all(neutral) and all(rows[mx[s]] == tuple(map(mx.__getitem__, rows[s]))
                                        for s in greedy_generators(n, rows) for mx in rows[2:])
-    return cols, neutral, associative, inverses(n, rows)
+    inv = inverses(n, rows)
+    return cols, neutral, associative, inv, associative and rows == cols and all(inv[1:])
 
 
 class _Table:
@@ -545,7 +546,7 @@ class _Table:
     def __init__(self, n, hyperadd, mul, expanded=False):
         self.n, self.hyperadd, self.rows, self.misses = n, hyperadd, mul, {}
         self.expanded = expanded
-        self.cols, self.neutral, self.associative, self.inv = _mul_facts(n, mul)
+        self.cols, self.neutral, self.associative, self.inv, self.group = _mul_facts(n, mul)
 
     @_fact
     def partners(t):
@@ -555,17 +556,15 @@ class _Table:
     @_fact
     def expansion(t):
         """E, the expansion of hyperadd's own row 1 by the scaling identity,
-        or None where mul is not a commutative group with zero (Light's test
-        passes, rows equal columns, every x != 0 has an inverse).  A table
-        marked expanded is its own E: under those conditions _expand() built
-        it from this mul, these inverses and row 1, as expand_one_row() and
-        the enumeration kernel do, and each x . v(z) is the image here."""
-        rows, inv = t.rows, t.inv
-        if not (t.associative and rows == t.cols and all(inv[1:])):
+        or None where mul is not a commutative group with zero.  A table
+        marked expanded is its own E: _expand() built it from this mul, these
+        inverses and row 1, as expand_one_row() and the enumeration kernel
+        do, and each x . v(z) is the image here."""
+        if not t.group:
             return None
         if t.expanded:
             return t.hyperadd
-        return _expand(t.n, rows, inv, *_row_scalars(t.cols, t.hyperadd[1]))
+        return _expand(t.n, t.rows, t.inv, *_row_scalars(t.cols, t.hyperadd[1]))
 
     @_fact
     def suspects(t):
@@ -896,7 +895,7 @@ def expand_one_row(mul_table, nu: OneRowMap) -> HyperfieldCandidate:
     if len(mul) != n or any(len(r) != n for r in mul):
         raise StructuralError("multiplication table must be n x n")
     _check_entries(mul, 0, n, "multiplication entry out of range")  # as a candidate's
-    cols, _, _, inv = _mul_facts(n, mul)
+    cols, _, _, inv, _ = _mul_facts(n, mul)
     if any(inv[x] == 0 for x in range(1, n)):
         raise StructuralError("nonzero part of mul_table is not a group")
     return _expansion_candidate(n, _expand(n, mul, inv, *_row_scalars(cols, nu.masks)), mul)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, product as iproduct
+from itertools import chain, count, product as iproduct
 
 from .core import AxiomReport, AxiomResult, _check_entries, element_orders
 from .errors import CapacityError, DomainError, StructuralError
@@ -96,7 +96,7 @@ def factor_integer(n: int) -> Factorization:
         raise DomainError("order must be at least 2")
     factors = []
     rest = n
-    for p in [2, *range(3, n + 1, 2)]:
+    for p in chain((2,), count(3, 2)):  # 2, then odd p until p * p > rest
         if p * p > rest:
             break
         if rest % p == 0:

@@ -55,8 +55,7 @@ class ParseError(DocumentError):
                  column: Optional[int] = None):
         at = f" at line {line}, column {column}" if line is not None else ""
         super().__init__(f"{message}{at}", code="malformed")
-        self.line = line
-        self.column = column
+        self.line, self.column = line, column
 
 
 class ValidationError(DocumentError):
@@ -150,13 +149,12 @@ def parse_document(text) -> HyperfieldDocument:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from exc
-    except (RecursionError, ValueError) as exc:  # nested too deeply, or too many digits
+    except (RecursionError, ValueError, TypeError) as exc:  # too deep, too many digits, not text
         raise ParseError(f"cannot decode: {exc}") from exc
 
     if not isinstance(raw, dict):
         raise ParseError("top level must be an object")
-    unknown = set(raw) - _KEYS
-    if unknown:
+    if unknown := set(raw) - _KEYS:
         raise ParseError(f"unknown keys: {sorted(unknown)}")
     for key in ("version", "order", "mul", "hyperadd"):
         if key not in raw:

@@ -296,6 +296,13 @@ class TestDefinitions:
         assert cells(h) == want
         assert h.mul == f.mul
 
+    @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (7, 1), (3, 2), (2, 5)])
+    def test_field(self, p, k):
+        f = gf(p, k)
+        h = from_field(f)
+        assert cells(h) == [[{s} for s in row] for row in f.add]
+        assert h.mul == f.mul and h.candidate.expanded
+
     @pytest.mark.parametrize("n", [*range(2, 13), 40])
     def test_pair(self, n):
         # Element x >= 1 is g^(x-1) for a generator g of the cyclic group.
@@ -391,6 +398,10 @@ MISTYPED_ORDERS = {
                        "generator 2.0 out of range"),
     "subgroup-bool": (lambda: subgroup_closure(gf(5), [True]), DomainError,
                       "generator True out of range"),
+    "subgroup-none": (lambda: subgroup_closure(gf(5), None), DomainError,
+                      "generators must be an iterable"),
+    "subgroup-int": (lambda: subgroup_closure(gf(5), 3), DomainError,
+                     "generators must be an iterable"),
 }
 
 

@@ -248,6 +248,7 @@ CONSTRUCTIONS = {
     "massouros29": lambda: massouros(gf(29)),
     "pair30": lambda: pair_hyperfield(30),
     "quotient31": lambda: quotient(gf(31), subgroup_closure(gf(31), [2])),
+    "field27": lambda: from_field(gf(3, 3)),
 }
 
 
@@ -368,6 +369,7 @@ class TestExpansionMark:
         marked = [build() for build in MARKED.values()]
         marked += [build().candidate for build in CONSTRUCTIONS.values()]
         marked += [h.candidate for h in enumerate_hyperfields(5)]
+        marked.append(from_field(gf(5)).candidate)
         assert all(c.expanded for c in marked)
         c = marked[0]
         unmarked = [build(c) for build in UNMARKED.values()] + [
@@ -378,7 +380,6 @@ class TestExpansionMark:
             relabel(c, (0, 1, 3, 2, 4)),
             candidate_from_document(parse_document(render_document(to_document(c)))),
             product_candidate(massouros(gf(3)), pair_hyperfield(3)),
-            from_field(gf(5)).candidate,
         ]
         assert not any(u.expanded for u in unmarked)
 

@@ -30,6 +30,7 @@ from hyperfields import (
 )
 from hyperfields import core, enumeration, iso
 from conftest import FIVE_MUL, SteppingClock, brute_isomorphic, naive_classes, naive_scaffolds
+from test_verifier_oracle import expansion_is_hyperfield_oracle
 
 
 def assert_is_abelian_group_table(mul):
@@ -317,6 +318,22 @@ class TestKernelFilters:
                 hit = core._ch1_symmetry(core._expand(n, pair.mul, pair.inv, pair.smul, v))
                 assert enumeration.ch1_violation(pair, v) == hit, v
                 verdicts.add(hit is None)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_leaf_test_agrees_with_an_oracle_that_shares_no_code(self, n):
+        """On every map of every unpruned shard, CH5 passing or not, the
+        leaf test passes exactly the maps whose expansion is symmetric, has
+        unique opposites and passes CH1, as a scan of every cell and triple
+        finds them."""
+        verdicts = set()
+        for shard in unpruned_shards(n):
+            pair = shard[0]
+            for v in shard_maps(shard):
+                hyperadd = core._expand(n, pair.mul, pair.inv, pair.smul, v)
+                holds = expansion_is_hyperfield_oracle(n, hyperadd, pair.mul)
+                assert (enumeration.ch1_violation(pair, v) is None) == holds, v
+                verdicts.add(holds)
         assert verdicts == {True, False}
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import tracemalloc
 from dataclasses import replace
 from itertools import product as iproduct
 from pathlib import Path
@@ -47,6 +48,19 @@ class TestFactorInteger:
             for f in fact.factors:
                 prod *= f.p ** f.k
             assert prod == n
+
+    def test_trial_division_stops_at_the_square_root(self):
+        """Candidates are drawn lazily up to the square root of what is left:
+        no list of every odd number up to n is built."""
+        tracemalloc.start()
+        try:
+            fact = factor_integer(2 * 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [(f.p, f.k) for f in fact.factors] == [(2, 7), (5, 6)]
+        assert peak < 1 << 20
+        assert [(f.p, f.k) for f in factor_integer(10**9 + 7).factors] == [(10**9 + 7, 1)]
 
     @given(st.integers(min_value=2, max_value=10000))
     def test_factors_are_prime_and_ascending(self, n):

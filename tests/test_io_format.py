@@ -504,9 +504,17 @@ class TestParseOracle:
 
 
 @pytest.mark.parametrize("text", ["[" * 100000 + "]" * 100000,
-                                  '{"version": 1, "order": ' + "9" * 5000 + "}"])
+                                  '{"version": 1, "order": ' + "9" * 5000 + "}",
+                                  1.0, None, [], {}, 5, object()])
 def test_undecodable_json_is_a_parse_error(text):
+    """Too deep, too many digits, or not str, bytes or bytearray at all."""
     with pytest.raises(ParseError) as err:
         parse_document(text)
     assert err.value.code == "malformed"
     assert str(err.value).startswith("cannot decode: ")
+
+
+def test_bytes_and_bytearray_parse_as_text():
+    text = valid_raw()
+    want = parse_document(text)
+    assert parse_document(text.encode()) == parse_document(bytearray(text.encode())) == want
